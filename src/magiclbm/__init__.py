@@ -43,7 +43,6 @@ from .collision import (
 )
 from .boundaries import BoundaryClosure, sound_speed_sq, pressure_abb_coefficient
 from .fitting import ParabolaFit, WallLocationResult, fit_parabola, wall_location
-from .kernels import BACKEND_ENV_VAR, NUMBA_AVAILABLE, get_backend
 from .experiments import (
     SteadyStateCriterion,
     D1Q3Experiment,
@@ -102,9 +101,6 @@ __all__ = [
     "WallLocationResult",
     "fit_parabola",
     "wall_location",
-    "BACKEND_ENV_VAR",
-    "NUMBA_AVAILABLE",
-    "get_backend",
     "SteadyStateCriterion",
     "D1Q3Experiment",
     "D2Q9Experiment",

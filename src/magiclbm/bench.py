@@ -1,45 +1,40 @@
-"""Backend benchmark: compiled against vectorized time loops.
+"""Kernel benchmark: the fused channel march, timed and checked.
 
-Runs the same driven-channel march on both backends, reports steps per
-second for each, and checks that the two trajectories agree bitwise
-(they execute the identical arithmetic in the identical order, so any
-difference is a bug, not roundoff).
+Times the force-driven channel march of the fused kernel and reports
+steps per second and million lattice updates per second (MLUPS,
+``nx * ny * steps/s / 1e6``).  Then it replays the timed march step by
+step against the step composed from the reference modules (moment
+maps, relax, forcing, stream) and reports their largest absolute
+difference, which should stay at round-off.
 """
 
-import os
 import time
 
 import numpy as np
 
 from . import kernels
-from .collision import relaxation_d2q9
+from .boundaries import force_channel_closures
+from .collision import apply_force_split_half, equilibrium_d2q9, relax, relaxation_d2q9
+from .lattice import D2Q9, build_d2q9_basis, from_moments, stream, to_moments
 
 __all__ = ["run_benchmark", "format_report"]
 
 
-def _timed_march(backend, start, warmup, steps, kw):
-    previous = os.environ.get(kernels.BACKEND_ENV_VAR)
-    os.environ[kernels.BACKEND_ENV_VAR] = backend
-    try:
-        f = kernels.d2q9_run(start, warmup, **kw)
-        began = time.perf_counter()
-        f = kernels.d2q9_run(f, steps, **kw)
-        elapsed = time.perf_counter() - began
-    finally:
-        if previous is None:
-            os.environ.pop(kernels.BACKEND_ENV_VAR, None)
-        else:
-            os.environ[kernels.BACKEND_ENV_VAR] = previous
-    return f, steps / elapsed
+def _reference_step(f, basis, kw):
+    m = apply_force_split_half(to_moments(basis, f), kw["fx"], "pre")
+    meq = equilibrium_d2q9(m[0], m[1], m[2], kw["alpha"], kw["beta"])
+    m = apply_force_split_half(relax(m, meq, kw["settings"]), kw["fx"], "post")
+    return stream(D2Q9, from_moments(basis, m), force_channel_closures())
 
 
 def run_benchmark(nx=100, ny=21, steps=1000, warmup=100):
-    """Time the channel march on every available backend.
+    """Time the channel march and check it against the reference step.
 
-    The warmup chunk absorbs compilation time; the timed chunk continues
+    The warmup chunk builds the operators; the timed chunk continues
     from the warmed state.  Returns a dict with the grid, step counts,
-    steps-per-second per backend, the compiled-over-vectorized speedup
-    (when both ran), and whether the final fields matched bitwise.
+    steps per second, MLUPS, and the largest absolute difference between
+    the fused and the composed reference trajectories over the timed
+    steps.
     """
     kw = dict(
         settings=relaxation_d2q9(0.375, 1.0),
@@ -50,40 +45,35 @@ def run_benchmark(nx=100, ny=21, steps=1000, warmup=100):
         x_code=kernels.X_PERIODIC,
         y_code=kernels.Y_WALL,
     )
-    start = np.zeros((9, ny, nx))
-    report = {
+    start = kernels.d2q9_run(np.zeros((9, ny, nx)), warmup, **kw)
+    began = time.perf_counter()
+    kernels.d2q9_run(start, steps, **kw)
+    rate = steps / (time.perf_counter() - began)
+
+    basis = build_d2q9_basis()
+    fused, reference, deviation = start, start, 0.0
+    for _ in range(steps):
+        fused = kernels.d2q9_run(fused, 1, **kw)
+        reference = _reference_step(reference, basis, kw)
+        deviation = max(deviation, float(np.max(np.abs(fused - reference))))
+    return {
         "nx": nx,
         "ny": ny,
         "steps": steps,
         "warmup": warmup,
-        "rates": {},
-        "speedup": None,
-        "bitwise_match": None,
+        "steps_per_s": rate,
+        "mlups": nx * ny * rate / 1e6,
+        "max_abs_deviation": deviation,
     }
-    f_numpy, rate = _timed_march("numpy", start, warmup, steps, kw)
-    report["rates"]["numpy"] = rate
-    if kernels.NUMBA_AVAILABLE:
-        f_numba, rate = _timed_march("numba", start, warmup, steps, kw)
-        report["rates"]["numba"] = rate
-        report["speedup"] = report["rates"]["numba"] / report["rates"]["numpy"]
-        report["bitwise_match"] = bool(np.array_equal(f_numba, f_numpy))
-    return report
 
 
 def format_report(report):
     """Human-readable lines for a run_benchmark result."""
-    lines = [
+    return [
         f"channel march on {report['nx']}x{report['ny']} "
-        f"({report['warmup']} warmup + {report['steps']} timed steps)"
+        f"({report['warmup']} warmup + {report['steps']} timed steps)",
+        f"  fused kernel: {report['steps_per_s']:10.1f} steps/s, "
+        f"{report['mlups']:.2f} MLUPS",
+        "  max abs deviation from the composed reference step: "
+        f"{report['max_abs_deviation']:.3g}",
     ]
-    for backend in ("numba", "numpy"):
-        rate = report["rates"].get(backend)
-        if rate is not None:
-            lines.append(f"  {backend:>6}: {rate:10.1f} steps/s")
-    if report["speedup"] is not None:
-        lines.append(f"  speedup (numba / numpy): {report['speedup']:.1f}x")
-        match = "yes" if report["bitwise_match"] else "NO (backend drift!)"
-        lines.append(f"  bitwise identical trajectories: {match}")
-    else:
-        lines.append("  numba backend not available; timed numpy only")
-    return lines

@@ -32,7 +32,6 @@ __all__ = [
     "bounce_back_wall",
     "pressure_abb_coefficient",
     "pressure_anti_bounce_back",
-    "periodic_wrap",
     "sound_speed_sq",
     "diffusion_closures",
     "periodic_line_closures",
@@ -122,25 +121,6 @@ def pressure_anti_bounce_back(f_star_opposite, scalar, alpha, beta):
     """
     coeff = pressure_abb_coefficient(alpha, beta)
     return -np.asarray(f_star_opposite, dtype=np.float64) + coeff * scalar
-
-
-def periodic_wrap(spec, fstar):
-    """Stream all links of a fully periodic domain.
-
-    Links exiting one face re-enter through the opposite face with their
-    transverse motion preserved.  Reference implementation used by tests
-    and the vectorized backend; the compiled kernels use modular index
-    arithmetic for the same routing.
-    """
-    fstar = np.asarray(fstar, dtype=np.float64)
-    fnew = np.empty_like(fstar)
-    if spec.dim == 1:
-        for j in range(spec.q):
-            fnew[j] = np.roll(fstar[j], spec.vx[j])
-        return fnew
-    for j in range(spec.q):
-        fnew[j] = np.roll(fstar[j], (spec.vy[j], spec.vx[j]), axis=(0, 1))
-    return fnew
 
 
 def sound_speed_sq(alpha, lam=1.0):

@@ -1,424 +1,150 @@
-"""Fused collide-stream time loops, compiled and vectorized backends.
+"""Fused collide-stream time loops, derived from the reference modules.
 
-The experiments drive many full simulations (every root-finder probe is
-a fresh march to steady state), so the inner loop matters.  Two
-implementations of each loop are kept:
-
-* a compiled per-node loop (numba, when importable), and
-* a vectorized numpy fallback.
-
-Both carry out the identical arithmetic per node in the identical
-order, so the two backends produce bit-identical trajectories; the test
-suite asserts that.  Keep the accumulation chains in the two
-implementations in sync when editing either one.
-
-Backend choice is the environment variable MAGICLBM_BACKEND: "auto"
-(default, compiled when available), "numba", or "numpy".
-
-The boundary handling is baked into the streaming loops by small
-integer codes rather than closure objects, because the compiled loop
-cannot hold Python objects: line ends are periodic or anti-bounce-back;
-plane rows are periodic or solid walls (bounce-back); plane columns are
-periodic or pressure anti-bounce-back.  Links whose upstream node is
-outside through two faces at once fall back to plain bounce-back.
+Collision and stream (with its face closures) are affine in the
+populations, so a step is ``f <- sign * (K f + c)[idx] + b``.  ``K, c``
+are the reference collision (``to_moments``, the ``collision`` helpers,
+``from_moments``) applied to unit vectors and to zero; ``idx, sign``
+the ``lattice.stream`` of an index field with the ``boundaries``
+closures of the codes; ``b`` the stream of zeros with the pressure
+closures.  A step is one product of ``[K c; -K -c]`` with ``[f; 1]``
+and one gather.  Operators are built on first use and kept in small
+bounded caches.
 """
 
-import os
+import functools
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .lattice import D2Q9, build_d2q9_basis
+from . import boundaries as bnd, collision as col
+from .lattice import D1Q3, D2Q9, MomentBasis, build_d2q9_basis, stream
+from .lattice import from_moments, to_moments
 
-try:
-    from numba import njit
+__all__ = ["d1q3_run", "d2q9_run", "BC_PERIODIC", "BC_ANTI_BOUNCE_BACK"]
+__all__ += ["X_PERIODIC", "X_PRESSURE", "Y_PERIODIC", "Y_WALL"]
+__all__ += ["FORCE_NONE", "FORCE_SPLIT_HALF", "FORCE_POPULATION"]
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
+# Codes of the line ends, plane columns (x), plane rows (y) and forcing.
+BC_PERIODIC, BC_ANTI_BOUNCE_BACK = 0, 1
+X_PERIODIC, X_PRESSURE = 0, 1
+Y_PERIODIC, Y_WALL = 0, 1
+FORCE_NONE, FORCE_SPLIT_HALF, FORCE_POPULATION = 0, 1, 2
 
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def decorator(func):
-            return func
-
-        return decorator
-
-
-__all__ = [
-    "NUMBA_AVAILABLE",
-    "BACKEND_ENV_VAR",
-    "get_backend",
-    "d1q3_run",
-    "d2q9_run",
-    "BC_PERIODIC",
-    "BC_ANTI_BOUNCE_BACK",
-    "X_PERIODIC",
-    "X_PRESSURE",
-    "Y_PERIODIC",
-    "Y_WALL",
-    "FORCE_NONE",
-    "FORCE_SPLIT_HALF",
-    "FORCE_POPULATION",
-]
-
-BACKEND_ENV_VAR = "MAGICLBM_BACKEND"
-
-# Line-end codes.
-BC_PERIODIC = 0
-BC_ANTI_BOUNCE_BACK = 1
-
-# Plane column (x) codes.
-X_PERIODIC = 0
-X_PRESSURE = 1
-
-# Plane row (y) codes.
-Y_PERIODIC = 0
-Y_WALL = 1
-
-# Forcing codes.
-FORCE_NONE = 0
-FORCE_SPLIT_HALF = 1
-FORCE_POPULATION = 2
-
-# The compiled loops read these module globals as compile-time constants,
-# and the on-disk compilation cache is keyed on the loop source alone.  So
-# after editing the basis or velocity tables, stale caches under
-# __pycache__ must be removed; the backend-equality tests catch the drift.
-_BASIS9 = build_d2q9_basis()
-_M9 = np.ascontiguousarray(_BASIS9.matrix)
-_INV9 = np.ascontiguousarray(_BASIS9.inverse)
-_VX = np.ascontiguousarray(D2Q9.vx)
-_VY = np.ascontiguousarray(D2Q9.vy)
-_OPP = np.ascontiguousarray(D2Q9.opposite)
+_LINE_ENDS = {BC_PERIODIC: bnd.PERIODIC, BC_ANTI_BOUNCE_BACK: bnd.ANTI_BOUNCE_BACK}
+_PLANE_ENDS = {X_PERIODIC: bnd.PERIODIC, X_PRESSURE: bnd.PRESSURE_ABB}
+_PLANE_ROWS = {Y_PERIODIC: bnd.PERIODIC, Y_WALL: bnd.BOUNCE_BACK}
 
 
-def get_backend():
-    """Resolve the backend name from MAGICLBM_BACKEND ("numba" or "numpy")."""
-    choice = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ConfigurationError(
-            f"{BACKEND_ENV_VAR}={choice!r} not recognized, "
-            "expected 'auto', 'numba', or 'numpy'"
-        )
-    if choice == "numba" and not NUMBA_AVAILABLE:
-        raise ConfigurationError(
-            f"{BACKEND_ENV_VAR}=numba requested but numba is not importable"
-        )
-    if choice == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    return choice
+def _closures(spec, codes, delta_rho):
+    """The ``boundaries`` closures that the integer codes stand for."""
+    if spec is D1Q3:
+        kind = _LINE_ENDS[codes[0]]
+        return [bnd.BoundaryClosure(face, kind) for face in ("left", "right")]
+    ends, rows = _PLANE_ENDS[codes[0]], _PLANE_ROWS[codes[1]]
+    offset = delta_rho if ends == bnd.PRESSURE_ABB else 0.0
+    faces = [("west", ends, offset), ("east", ends, -offset), ("south", rows)]
+    return [bnd.BoundaryClosure(*face) for face in faces + [("north", rows)]]
 
 
-# ---------------------------------------------------------------------------
-# Line lattice
-# ---------------------------------------------------------------------------
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
-def _d1q3_run_loop(f, steps, mat, inv, s1, s2, c2, source, bc_code):
-    q, n = f.shape
-    cur = f.copy()
-    fst = np.empty_like(cur)
-    m = np.empty(3)
+def _affine(collide, q):
+    """``[K c; -K -c]`` of a collision, from q unit vectors plus zero."""
+    out = collide(np.eye(q, q + 1))
+    kc = np.hstack([out[:, :q] - out[:, q:], out[:, q:]])
+    return _frozen(np.vstack([kc, -kc]))
+
+
+@functools.lru_cache(maxsize=64)
+def _line_operator(name, matrix, inverse, s1, s2, c2, source):
+    matrix, inverse = (np.frombuffer(a).reshape(3, 3) for a in (matrix, inverse))
+    basis = MomentBasis(name, 1.0, matrix, inverse, ("rho", "j", "e"))
+    variant, settings = name[-1], col.RelaxationSettings((0.0, s1, s2))
+    zeta = 2.0 * c2 if variant == "a" else c2
+    def collide(f):
+        m = col.apply_diffusion_source(to_moments(basis, f), source, "pre")
+        m = col.relax(m, col.equilibrium_d1q3(variant, m[0], zeta), settings)
+        return from_moments(basis, col.apply_diffusion_source(m, source, "post"))
+    return _affine(collide, 3)
+
+
+@functools.lru_cache(maxsize=64)
+def _plane_operator(s, alpha, beta, fx, force_code):
+    basis, settings = build_d2q9_basis(), col.RelaxationSettings(s)
+    def collide(f):
+        m = to_moments(basis, f)
+        if force_code == FORCE_SPLIT_HALF:
+            m = col.apply_force_split_half(m, fx, "pre")
+        m = col.relax(m, col.equilibrium_d2q9(m[0], m[1], m[2], alpha, beta), settings)
+        if force_code == FORCE_SPLIT_HALF:
+            m = col.apply_force_split_half(m, fx, "post")
+        elif force_code == FORCE_POPULATION:
+            m = col.apply_force_population(m, fx)
+        return from_moments(basis, m)
+    return _affine(collide, 9)
+
+
+@functools.lru_cache(maxsize=16)
+def _gather(spec, shape, codes):
+    """Where in ``[post; -post]`` each streamed population is pulled from."""
+    probe = np.arange(1.0, np.prod(shape) + 1.0).reshape(shape)
+    pulled = stream(spec, probe, _closures(spec, codes, 0.0), 0.0, 0.0).ravel()
+    idx = np.abs(pulled).astype(np.intp) - 1
+    return _frozen(np.where(pulled < 0, idx + idx.size, idx))
+
+
+@functools.lru_cache(maxsize=16)
+def _pressure_offset(shape, codes, delta_rho, alpha, beta, press_coeff):
+    """``b``: what the pressure closures add to a stream of zeros."""
+    if press_coeff != bnd.pressure_abb_coefficient(alpha, beta):
+        raise ValueError(f"press_coeff={press_coeff!r} is not the closure weight")
+    closures = _closures(D2Q9, codes, delta_rho)
+    return _frozen(stream(D2Q9, np.zeros(shape), closures, alpha, beta).ravel())
+
+
+def _march(f, steps, kc, idx, b=None):
+    f, q = np.asarray(f, dtype=np.float64), kc.shape[1] - 1
+    state = np.ones((q + 1, f.size // q))
+    state[:q] = f.reshape(q, -1)
+    post = np.empty((2 * q, state.shape[1]))
+    flat = state[:q].reshape(-1)
     for _ in range(steps):
-        for x in range(n):
-            for k in range(3):
-                acc = 0.0
-                for j in range(3):
-                    acc += mat[k, j] * cur[j, x]
-                m[k] = acc
-            rho_mid = m[0] + 0.5 * source
-            m[1] = (1.0 - s1) * m[1]
-            m[2] = (1.0 - s2) * m[2] + s2 * (c2 * rho_mid)
-            m[0] = rho_mid + 0.5 * source
-            for j in range(3):
-                acc = 0.0
-                for k in range(3):
-                    acc += inv[j, k] * m[k]
-                fst[j, x] = acc
-        cur[0, :] = fst[0, :]
-        for x in range(n - 1, 0, -1):
-            cur[1, x] = fst[1, x - 1]
-        for x in range(n - 1):
-            cur[2, x] = fst[2, x + 1]
-        if bc_code == BC_PERIODIC:
-            cur[1, 0] = fst[1, n - 1]
-            cur[2, n - 1] = fst[2, 0]
-        else:
-            cur[1, 0] = -fst[2, 0]
-            cur[2, n - 1] = -fst[1, n - 1]
-    return cur
-
-
-_d1q3_run_jit = njit(cache=True)(_d1q3_run_loop) if NUMBA_AVAILABLE else None
-
-
-def _d1q3_run_numpy(f, steps, mat, inv, s1, s2, c2, source, bc_code):
-    cur = f.copy()
-    for _ in range(steps):
-        m = []
-        for k in range(3):
-            acc = mat[k, 0] * cur[0]
-            for j in range(1, 3):
-                acc = acc + mat[k, j] * cur[j]
-            m.append(acc)
-        rho_mid = m[0] + 0.5 * source
-        m[1] = (1.0 - s1) * m[1]
-        m[2] = (1.0 - s2) * m[2] + s2 * (c2 * rho_mid)
-        m[0] = rho_mid + 0.5 * source
-        fst = np.empty_like(cur)
-        for j in range(3):
-            acc = inv[j, 0] * m[0]
-            for k in range(1, 3):
-                acc = acc + inv[j, k] * m[k]
-            fst[j] = acc
-        nxt = np.empty_like(cur)
-        nxt[0] = fst[0]
-        nxt[1, 1:] = fst[1, :-1]
-        nxt[2, :-1] = fst[2, 1:]
-        if bc_code == BC_PERIODIC:
-            nxt[1, 0] = fst[1, -1]
-            nxt[2, -1] = fst[2, 0]
-        else:
-            nxt[1, 0] = -fst[2, 0]
-            nxt[2, -1] = -fst[1, -1]
-        cur = nxt
-    return cur
+        np.matmul(kc, state, out=post)
+        np.take(post.reshape(-1), idx, out=flat, mode="clip")
+        if b is not None:
+            flat += b
+    return state[:q].reshape(f.shape)
 
 
 def d1q3_run(f, steps, basis, s1, s2, c2, source, bc_code):
-    """March the line scheme ``steps`` full cycles and return the new field.
+    """March the line scheme ``steps`` cycles; the (3, n) ``f`` is not modified.
 
-    Parameters
-    ----------
-    f : (3, n) array
-        Starting populations; not modified.
-    basis : MomentBasis
-        Line basis whose matrix and inverse define the moment map.
-    s1, s2 : float
-        Relaxation rates of the flux and energy rows.
-    c2 : float
-        Equilibrium coefficient of the energy row (variant a: zeta/2,
-        variant b: zeta, in lattice units).
-    source : float
-        Per-step density source, added in two half increments.
-    bc_code : int
-        BC_PERIODIC or BC_ANTI_BOUNCE_BACK (both ends).
+    ``basis`` (variant a or b) defines the moment map, ``s1, s2`` are the
+    flux and energy rates, ``c2`` the energy equilibrium coefficient
+    (a: zeta/2, b: zeta), ``source`` the per-step density source, added
+    in two halves, and ``bc_code`` BC_PERIODIC or BC_ANTI_BOUNCE_BACK.
     """
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    mat = np.ascontiguousarray(basis.matrix)
-    inv = np.ascontiguousarray(basis.inverse)
-    args = (
-        f,
-        int(steps),
-        mat,
-        inv,
-        float(s1),
-        float(s2),
-        float(c2),
-        float(source),
-        int(bc_code),
-    )
-    if get_backend() == "numba":
-        return _d1q3_run_jit(*args)
-    return _d1q3_run_numpy(*args)
+    key = (basis.name, basis.matrix.tobytes(), basis.inverse.tobytes())
+    operator = _line_operator(*key, float(s1), float(s2), float(c2), float(source))
+    return _march(f, int(steps), operator, _gather(D1Q3, np.shape(f), (int(bc_code),)))
 
 
-# ---------------------------------------------------------------------------
-# Plane lattice
-# ---------------------------------------------------------------------------
+def d2q9_run(f, steps, settings, alpha, beta, fx=0.0, force_code=FORCE_NONE,
+             x_code=X_PERIODIC, y_code=Y_WALL, delta_rho=0.0, press_coeff=0.0):
+    """March the plane scheme ``steps`` cycles; the (9, ny, nx) ``f`` is not modified.
 
-
-def _d2q9_run_loop(
-    f, steps, s, alpha, beta, fx, force_code, x_code, y_code, delta_rho, press_coeff
-):
-    q, ny, nx = f.shape
-    cur = f.copy()
-    fst = np.empty_like(cur)
-    m = np.empty(9)
-    for _ in range(steps):
-        for y in range(ny):
-            for x in range(nx):
-                for k in range(9):
-                    acc = 0.0
-                    for j in range(9):
-                        acc += _M9[k, j] * cur[j, y, x]
-                    m[k] = acc
-                rho = m[0]
-                jx = m[1]
-                jy = m[2]
-                if force_code == FORCE_SPLIT_HALF:
-                    jx_mid = jx + 0.5 * fx
-                else:
-                    jx_mid = jx
-                m[3] = (1.0 - s[3]) * m[3] + s[3] * (alpha * rho)
-                m[4] = (1.0 - s[4]) * m[4] + s[4] * (beta * rho)
-                m[5] = (1.0 - s[5]) * m[5] + s[5] * (-jx_mid)
-                m[6] = (1.0 - s[6]) * m[6] + s[6] * (-jy)
-                m[7] = (1.0 - s[7]) * m[7]
-                m[8] = (1.0 - s[8]) * m[8]
-                if force_code == FORCE_SPLIT_HALF:
-                    m[1] = jx_mid + 0.5 * fx
-                elif force_code == FORCE_POPULATION:
-                    m[1] = jx + fx
-                    m[5] = m[5] - fx
-                for j in range(9):
-                    acc = 0.0
-                    for k in range(9):
-                        acc += _INV9[j, k] * m[k]
-                    fst[j, y, x] = acc
-        for y in range(ny):
-            for x in range(nx):
-                for j in range(9):
-                    sy = y - _VY[j]
-                    sx = x - _VX[j]
-                    if y_code == Y_PERIODIC:
-                        sy = sy % ny
-                    if x_code == X_PERIODIC:
-                        sx = sx % nx
-                    y_in = 0 <= sy < ny
-                    x_in = 0 <= sx < nx
-                    if y_in and x_in:
-                        cur[j, y, x] = fst[j, sy, sx]
-                    elif y_in:
-                        # Upstream node beyond an end column only.
-                        sign = 1.0 if sx < 0 else -1.0
-                        cur[j, y, x] = -fst[_OPP[j], y, x] + press_coeff * (
-                            sign * delta_rho
-                        )
-                    else:
-                        # Beyond a wall row, or doubly outside at a corner:
-                        # plain reflection either way.
-                        cur[j, y, x] = fst[_OPP[j], y, x]
-    return cur
-
-
-_d2q9_run_jit = njit(cache=True)(_d2q9_run_loop) if NUMBA_AVAILABLE else None
-
-
-def _d2q9_stream_numpy(fst, x_code, y_code, delta_rho, press_coeff):
-    ny = fst.shape[1]
-    out = np.empty_like(fst)
-    for j in range(9):
-        out[j] = np.roll(fst[j], (_VY[j], _VX[j]), axis=(0, 1))
-    if y_code == Y_WALL:
-        for j in range(9):
-            if _VY[j] == 1:
-                out[j][0, :] = fst[_OPP[j]][0, :]
-            elif _VY[j] == -1:
-                out[j][-1, :] = fst[_OPP[j]][-1, :]
-    if x_code == X_PRESSURE:
-        for j in range(9):
-            if _VX[j] == 0:
-                continue
-            vy = _VY[j]
-            if y_code == Y_PERIODIC or vy == 0:
-                rows = slice(None)
-            elif vy == 1:
-                # Bottom-row link is doubly outside and stays wall-filled.
-                rows = slice(1, ny)
-            else:
-                rows = slice(0, ny - 1)
-            if _VX[j] == 1:
-                sign = 1.0
-                col = 0
-            else:
-                sign = -1.0
-                col = -1
-            out[j][rows, col] = -fst[_OPP[j]][rows, col] + press_coeff * (
-                sign * delta_rho
-            )
-    return out
-
-
-def _d2q9_run_numpy(
-    f, steps, s, alpha, beta, fx, force_code, x_code, y_code, delta_rho, press_coeff
-):
-    cur = f.copy()
-    for _ in range(steps):
-        m = []
-        for k in range(9):
-            acc = _M9[k, 0] * cur[0]
-            for j in range(1, 9):
-                acc = acc + _M9[k, j] * cur[j]
-            m.append(acc)
-        rho = m[0]
-        jx = m[1]
-        jy = m[2]
-        if force_code == FORCE_SPLIT_HALF:
-            jx_mid = jx + 0.5 * fx
-        else:
-            jx_mid = jx
-        m[3] = (1.0 - s[3]) * m[3] + s[3] * (alpha * rho)
-        m[4] = (1.0 - s[4]) * m[4] + s[4] * (beta * rho)
-        m[5] = (1.0 - s[5]) * m[5] + s[5] * (-jx_mid)
-        m[6] = (1.0 - s[6]) * m[6] + s[6] * (-jy)
-        m[7] = (1.0 - s[7]) * m[7]
-        m[8] = (1.0 - s[8]) * m[8]
-        if force_code == FORCE_SPLIT_HALF:
-            m[1] = jx_mid + 0.5 * fx
-        elif force_code == FORCE_POPULATION:
-            m[1] = jx + fx
-            m[5] = m[5] - fx
-        fst = np.empty_like(cur)
-        for j in range(9):
-            acc = _INV9[j, 0] * m[0]
-            for k in range(1, 9):
-                acc = acc + _INV9[j, k] * m[k]
-            fst[j] = acc
-        cur = _d2q9_stream_numpy(fst, x_code, y_code, delta_rho, press_coeff)
-    return cur
-
-
-def d2q9_run(
-    f,
-    steps,
-    settings,
-    alpha,
-    beta,
-    fx=0.0,
-    force_code=FORCE_NONE,
-    x_code=X_PERIODIC,
-    y_code=Y_WALL,
-    delta_rho=0.0,
-    press_coeff=0.0,
-):
-    """March the plane scheme ``steps`` full cycles and return the new field.
-
-    Parameters
-    ----------
-    f : (9, ny, nx) array
-        Starting populations; not modified.
-    settings : RelaxationSettings
-        Nine relaxation rates (conserved rows 0).
-    alpha, beta : float
-        Equilibrium coefficients of the energy rows.
-    fx : float
-        Streamwise body force (force_code selects how it is applied).
-    force_code : int
-        FORCE_NONE, FORCE_SPLIT_HALF, or FORCE_POPULATION.
-    x_code, y_code : int
-        Column and row boundary codes.  X_PRESSURE imposes the density
-        offset +delta_rho at the west column and -delta_rho at the east
-        column, weighted by press_coeff.
+    ``settings`` holds the nine rates, ``alpha, beta`` the energy-row
+    equilibrium coefficients; the body force ``fx`` is applied as
+    ``force_code`` says.  X_PRESSURE imposes the density offset
+    +delta_rho at the west column and -delta_rho at the east one, with
+    the weight ``press_coeff == pressure_abb_coefficient(alpha, beta)``.
     """
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    s = np.ascontiguousarray(settings.as_array())
-    args = (
-        f,
-        int(steps),
-        s,
-        float(alpha),
-        float(beta),
-        float(fx),
-        int(force_code),
-        int(x_code),
-        int(y_code),
-        float(delta_rho),
-        float(press_coeff),
-    )
-    if get_backend() == "numba":
-        return _d2q9_run_jit(*args)
-    return _d2q9_run_numpy(*args)
+    alpha, beta = float(alpha), float(beta)
+    operator = _plane_operator(settings.s, alpha, beta, float(fx), int(force_code))
+    shape, codes = np.shape(f), (int(x_code), int(y_code))
+    pressure = x_code == X_PRESSURE and delta_rho != 0.0
+    offset = (shape, codes, float(delta_rho), alpha, beta, float(press_coeff))
+    b = _pressure_offset(*offset) if pressure else None
+    return _march(f, int(steps), operator, _gather(D2Q9, shape, codes), b)

@@ -275,12 +275,16 @@ def test_missed_bracket_exits_4(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_bench_reports_both_backends(capsys):
+def test_bench_reports_rate_and_reference_deviation(capsys):
     rc = main(["bench", "--nx", "16", "--ny", "8", "--steps", "40", "--warmup", "5"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "numpy" in out
-    assert "sites/s" in out or "steps/s" in out or "speedup" in out
+    assert "steps/s" in out and "MLUPS" in out
+    line = next(
+        line for line in out.splitlines()
+        if "deviation from the composed reference step" in line
+    )
+    assert float(line.rsplit(":", 1)[1]) < 1e-15
 
 
 def test_parser_lists_all_commands():

@@ -1,16 +1,20 @@
 """Tests of the fused time loops against the compositional building blocks.
 
-The marching kernels fuse moment transform, relaxation, forcing, and
-streaming into one loop per backend.  Here each fused step is checked
-against the same update assembled from the separately tested pieces
-(moment maps, relax, forcing, stream), and the two backends are held to
-bit-identical trajectories.
+The marching kernels run every step as one affine operator derived from
+the moment maps, relax, forcing and stream.  Here the fused march is
+checked against the same update assembled from those separately tested
+pieces, one step and many steps, across every boundary-code
+combination and across changes of shape, codes and parameters within
+one process (a stale operator cache would show there).
 """
+
+import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from magiclbm import kernels
 from magiclbm.boundaries import (
     diffusion_closures,
     force_channel_closures,
@@ -29,21 +33,18 @@ from magiclbm.collision import (
     relaxation_d1q3,
     relaxation_d2q9,
 )
-from magiclbm.errors import ConfigurationError
 from magiclbm.kernels import (
     BC_ANTI_BOUNCE_BACK,
     BC_PERIODIC,
     FORCE_NONE,
     FORCE_POPULATION,
     FORCE_SPLIT_HALF,
-    NUMBA_AVAILABLE,
     X_PERIODIC,
     X_PRESSURE,
     Y_PERIODIC,
     Y_WALL,
     d1q3_run,
     d2q9_run,
-    get_backend,
 )
 from magiclbm.lattice import (
     D1Q3,
@@ -54,30 +55,6 @@ from magiclbm.lattice import (
     stream,
     to_moments,
 )
-
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-
-def test_backend_defaults_to_fastest(monkeypatch):
-    monkeypatch.delenv(kernels.BACKEND_ENV_VAR, raising=False)
-    assert get_backend() == ("numba" if NUMBA_AVAILABLE else "numpy")
-
-
-def test_backend_env_forces_numpy(monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
-    assert get_backend() == "numpy"
-
-
-def test_backend_env_rejects_unknown_value(monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "gpu")
-    with pytest.raises(ConfigurationError, match="MAGICLBM_BACKEND"):
-        get_backend()
-
 
 # ---------------------------------------------------------------------------
 # Reference compositions of one full step
@@ -99,8 +76,7 @@ def _reference_line_step(f, variant, sigma1, sigma2, zeta, source, periodic):
 
 @pytest.mark.parametrize("variant", ["a", "b"])
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "walls"])
-def test_line_kernel_matches_composed_step(monkeypatch, variant, periodic):
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
+def test_line_kernel_matches_composed_step(variant, periodic):
     rng = np.random.default_rng(21)
     f = rng.normal(size=(3, 9))
     zeta = 1.0 / 3.0 if variant == "a" else 1.0
@@ -141,8 +117,7 @@ def _reference_plane_step(f, sigma5, sigma8, alpha, beta, fx, forcing, closures)
     "forcing", [FORCE_NONE, FORCE_SPLIT_HALF, FORCE_POPULATION],
     ids=["unforced", "split-half", "population"],
 )
-def test_plane_kernel_matches_composed_step_in_channel(monkeypatch, forcing):
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
+def test_plane_kernel_matches_composed_step_in_channel(forcing):
     rng = np.random.default_rng(33)
     f = rng.normal(size=(9, 6, 5))
     fx = 2e-6 if forcing != FORCE_NONE else 0.0
@@ -163,8 +138,7 @@ def test_plane_kernel_matches_composed_step_in_channel(monkeypatch, forcing):
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
 
 
-def test_plane_kernel_matches_composed_step_pressure(monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
+def test_plane_kernel_matches_composed_step_pressure():
     rng = np.random.default_rng(37)
     f = rng.normal(size=(9, 5, 6))
     delta_rho = 3e-6
@@ -186,8 +160,7 @@ def test_plane_kernel_matches_composed_step_pressure(monkeypatch):
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
 
 
-def test_plane_kernel_matches_composed_step_fully_periodic(monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
+def test_plane_kernel_matches_composed_step_fully_periodic():
     rng = np.random.default_rng(41)
     f = rng.normal(size=(9, 4, 4))
     expect = _reference_plane_step(
@@ -206,52 +179,134 @@ def test_plane_kernel_matches_composed_step_fully_periodic(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Backend agreement, bit for bit
+# Long marches, every code combination, and operator caching
 # ---------------------------------------------------------------------------
 
+LINE_CASES = {"line-periodic": BC_PERIODIC, "line-anti-bounce-back": BC_ANTI_BOUNCE_BACK}
 
-@needs_numba
-@pytest.mark.parametrize("bc", [BC_PERIODIC, BC_ANTI_BOUNCE_BACK])
-def test_line_backends_are_bit_identical(monkeypatch, bc):
-    rng = np.random.default_rng(55)
-    f = rng.normal(size=(3, 16))
-    basis = build_d1q3_basis("a")
-    args = (f, 50, basis, 1.2, 0.4, 1.0 / 6.0, 1e-6, bc)
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
-    reference = d1q3_run(*args)
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numba")
-    compiled = d1q3_run(*args)
-    assert np.array_equal(reference, compiled)
-
-
-@needs_numba
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(fx=1e-6, force_code=FORCE_SPLIT_HALF, x_code=X_PERIODIC, y_code=Y_WALL),
-        dict(fx=1e-6, force_code=FORCE_POPULATION, x_code=X_PERIODIC, y_code=Y_WALL),
-        dict(
+PLANE_CASES = {
+    "plane-split-half": dict(
+        kw=dict(fx=2e-6, force_code=FORCE_SPLIT_HALF, x_code=X_PERIODIC, y_code=Y_WALL),
+        closures=force_channel_closures(),
+    ),
+    "plane-population": dict(
+        kw=dict(fx=2e-6, force_code=FORCE_POPULATION, x_code=X_PERIODIC, y_code=Y_WALL),
+        closures=force_channel_closures(),
+    ),
+    "plane-pressure": dict(
+        kw=dict(
             x_code=X_PRESSURE,
             y_code=Y_WALL,
             delta_rho=3e-6,
-            press_coeff=2.0 / 9.0,
+            press_coeff=pressure_abb_coefficient(-2.0, 1.0),
         ),
-        dict(x_code=X_PERIODIC, y_code=Y_PERIODIC),
-    ],
-    ids=["split-half", "population", "pressure", "periodic"],
-)
-def test_plane_backends_are_bit_identical(monkeypatch, kwargs):
-    # Doubles as a staleness alarm for the on-disk compilation cache: if
-    # the compiled loop was built from older moment tables the two
-    # trajectories separate immediately.
-    rng = np.random.default_rng(56)
-    f = rng.normal(size=(9, 7, 12)) * 1e-3
-    settings = relaxation_d2q9(0.375, 1.0)
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
-    reference = d2q9_run(f, 50, settings, -2.0, 1.0, **kwargs)
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numba")
-    compiled = d2q9_run(f, 50, settings, -2.0, 1.0, **kwargs)
-    assert np.array_equal(reference, compiled)
+        closures=pressure_channel_closures(3e-6),
+    ),
+    "plane-periodic": dict(
+        kw=dict(x_code=X_PERIODIC, y_code=Y_PERIODIC),
+        closures=periodic_plane_closures(),
+    ),
+}
+
+# Round-off of one step is a few ulps of the field's scale; over STEPS
+# steps of a stable scheme it grows at most linearly.
+STEPS = 64
+MARCH_ATOL = STEPS * 16 * np.finfo(np.float64).eps
+
+
+def _line_call(f, steps, variant, sigma1, sigma2, bc):
+    zeta = 1.0 / 3.0 if variant == "a" else 1.0
+    c2 = 0.5 * zeta if variant == "a" else zeta
+    s = relaxation_d1q3(sigma1, sigma2).s
+    return d1q3_run(f, steps, build_d1q3_basis(variant), s[1], s[2], c2, 1e-6, bc)
+
+
+def _line_reference(f, steps, variant, sigma1, sigma2, bc):
+    zeta = 1.0 / 3.0 if variant == "a" else 1.0
+    for _ in range(steps):
+        f = _reference_line_step(
+            f, variant, sigma1, sigma2, zeta, 1e-6, bc == BC_PERIODIC
+        )
+    return f
+
+
+def _plane_reference(f, steps, sigma5, sigma8, kw, closures):
+    fx = kw.get("fx", 0.0)
+    forcing = kw.get("force_code", FORCE_NONE)
+    for _ in range(steps):
+        f = _reference_plane_step(f, sigma5, sigma8, -2.0, 1.0, fx, forcing, closures)
+    return f
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+@pytest.mark.parametrize("case", list(LINE_CASES))
+def test_line_march_tracks_composed_steps(variant, case):
+    bc = LINE_CASES[case]
+    f = np.random.default_rng(70).normal(size=(3, 13))
+    got = _line_call(f, STEPS, variant, 0.9, 0.2, bc)
+    expect = _line_reference(f, STEPS, variant, 0.9, 0.2, bc)
+    assert np.max(np.abs(got - expect)) <= MARCH_ATOL * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("case", list(PLANE_CASES))
+def test_plane_march_tracks_composed_steps_on_non_square_grid(case):
+    kw, closures = PLANE_CASES[case]["kw"], PLANE_CASES[case]["closures"]
+    f = np.random.default_rng(71).normal(size=(9, 5, 8))
+    got = d2q9_run(f, STEPS, relaxation_d2q9(0.3, 1.1), -2.0, 1.0, **kw)
+    expect = _plane_reference(f, STEPS, 0.3, 1.1, kw, closures)
+    assert np.max(np.abs(got - expect)) <= MARCH_ATOL * np.max(np.abs(expect))
+
+
+def test_operators_are_rebuilt_when_shape_codes_or_parameters_change():
+    # Alternate every cache key in one process, twice over, so a cached
+    # operator or gather served to the wrong call would show.
+    rng = np.random.default_rng(72)
+    for _ in range(2):
+        for n, case, sigmas in itertools.product(
+            (9, 14), list(LINE_CASES), ((0.9, 0.2), (0.4, 0.7))
+        ):
+            f = rng.normal(size=(3, n))
+            bc = LINE_CASES[case]
+            got = _line_call(f, 1, "a", *sigmas, bc)
+            expect = _line_reference(f, 1, "a", *sigmas, bc)
+            assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
+        for shape, driving, delta_rho, sigmas in itertools.product(
+            ((9, 5, 7), (9, 6, 4)),
+            ("plane-split-half", "plane-pressure"),
+            (3e-6, 5e-6),
+            ((0.3, 1.1), (0.7, 0.4)),
+        ):
+            f = rng.normal(size=shape)
+            kw = dict(PLANE_CASES[driving]["kw"])
+            closures = PLANE_CASES[driving]["closures"]
+            if driving == "plane-pressure":
+                kw["delta_rho"] = delta_rho
+                closures = pressure_channel_closures(delta_rho)
+            got = d2q9_run(f, 1, relaxation_d2q9(*sigmas), -2.0, 1.0, **kw)
+            expect = _plane_reference(f, 1, *sigmas, kw, closures)
+            assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
+
+
+def test_pressure_weight_must_match_the_closure():
+    with pytest.raises(ValueError, match="press_coeff"):
+        d2q9_run(
+            np.zeros((9, 5, 6)), 1, relaxation_d2q9(0.3, 1.1), -2.0, 1.0,
+            x_code=X_PRESSURE, y_code=Y_WALL, delta_rho=1e-6, press_coeff=0.25,
+        )
+
+
+def test_operators_are_built_on_first_use_without_scipy():
+    code = (
+        "import sys, magiclbm.cli\n"
+        "from magiclbm import kernels\n"
+        "assert kernels._gather.cache_info().currsize == 0\n"
+        "assert kernels._plane_operator.cache_info().currsize == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +337,23 @@ def test_plane_march_is_additive():
 
 
 def test_kernel_does_not_modify_input():
+    # Zero steps return an independent copy; no step count writes to f.
     rng = np.random.default_rng(62)
-    f = rng.normal(size=(3, 8))
-    keep = f.copy()
-    d1q3_run(f, 5, build_d1q3_basis("a"), 1.0, 0.5, 1.0 / 6.0, 1e-6, BC_PERIODIC)
-    assert np.array_equal(f, keep)
+    line, plane = rng.normal(size=(3, 8)), rng.normal(size=(9, 5, 6))
+    keep_line, keep_plane = line.copy(), plane.copy()
+    basis, settings = build_d1q3_basis("a"), relaxation_d2q9(0.3, 1.1)
+    pressure = PLANE_CASES["plane-pressure"]["kw"]
+    runs = (
+        (line, lambda f, n: d1q3_run(f, n, basis, 1.0, 0.5, 0.25, 1e-6, BC_PERIODIC)),
+        (plane, lambda f, n: d2q9_run(f, n, settings, -2.0, 1.0, **pressure)),
+    )
+    for f, run in runs:
+        same = run(f, 0)
+        assert np.array_equal(same, f) and not np.shares_memory(same, f)
+        same[...] = 7.0
+        run(f, 5)
+    assert np.array_equal(line, keep_line)
+    assert np.array_equal(plane, keep_plane)
 
 
 def test_force_channel_conserves_mass():
