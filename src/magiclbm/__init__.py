@@ -31,7 +31,6 @@ from .lattice import (
     stream,
 )
 from .collision import (
-    EquilibriumParams,
     RelaxationSettings,
     s_to_sigma,
     sigma_to_s,
@@ -85,7 +84,6 @@ __all__ = [
     "to_moments",
     "from_moments",
     "stream",
-    "EquilibriumParams",
     "RelaxationSettings",
     "s_to_sigma",
     "sigma_to_s",

@@ -20,11 +20,11 @@ from .lattice import D2Q9, build_d2q9_basis, from_moments, stream, to_moments
 __all__ = ["run_benchmark", "format_report"]
 
 
-def _reference_step(f, basis, kw):
+def _reference_step(f, basis, closures, kw):
     m = apply_force_split_half(to_moments(basis, f), kw["fx"], "pre")
     meq = equilibrium_d2q9(m[0], m[1], m[2], kw["alpha"], kw["beta"])
     m = apply_force_split_half(relax(m, meq, kw["settings"]), kw["fx"], "post")
-    return stream(D2Q9, from_moments(basis, m), force_channel_closures())
+    return stream(D2Q9, from_moments(basis, m), closures)
 
 
 def run_benchmark(nx=100, ny=21, steps=1000, warmup=100):
@@ -36,25 +36,24 @@ def run_benchmark(nx=100, ny=21, steps=1000, warmup=100):
     the fused and the composed reference trajectories over the timed
     steps.
     """
+    closures = force_channel_closures()
     kw = dict(
         settings=relaxation_d2q9(0.375, 1.0),
         alpha=-2.0,
         beta=1.0,
+        driving="force-split-half",
         fx=1e-6,
-        force_code=kernels.FORCE_SPLIT_HALF,
-        x_code=kernels.X_PERIODIC,
-        y_code=kernels.Y_WALL,
     )
-    start = kernels.d2q9_run(np.zeros((9, ny, nx)), warmup, **kw)
+    start = kernels.d2q9_run(np.zeros((9, ny, nx)), warmup, closures, **kw)
     began = time.perf_counter()
-    kernels.d2q9_run(start, steps, **kw)
+    kernels.d2q9_run(start, steps, closures, **kw)
     rate = steps / (time.perf_counter() - began)
 
     basis = build_d2q9_basis()
     fused, reference, deviation = start, start, 0.0
     for _ in range(steps):
-        fused = kernels.d2q9_run(fused, 1, **kw)
-        reference = _reference_step(reference, basis, kw)
+        fused = kernels.d2q9_run(fused, 1, closures, **kw)
+        reference = _reference_step(reference, basis, closures, kw)
         deviation = max(deviation, float(np.max(np.abs(fused - reference))))
     return {
         "nx": nx,

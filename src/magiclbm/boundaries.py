@@ -20,6 +20,8 @@ the boundary node itself, which is what makes them usable as fills
 during the streaming pass.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 __all__ = [
@@ -29,7 +31,6 @@ __all__ = [
     "PRESSURE_ABB",
     "BoundaryClosure",
     "anti_bounce_back_1d",
-    "bounce_back_wall",
     "pressure_abb_coefficient",
     "pressure_anti_bounce_back",
     "sound_speed_sq",
@@ -48,35 +49,34 @@ PRESSURE_ABB = "pressure-abb"
 _KINDS = (PERIODIC, BOUNCE_BACK, ANTI_BOUNCE_BACK, PRESSURE_ABB)
 
 
+@dataclass(frozen=True)
 class BoundaryClosure:
     """One face's closure: which face, which rule, and an imposed scalar.
 
     ``scalar`` is the imposed density offset for pressure-abb faces
     (signed: positive at the high-pressure end) and must be 0 for every
-    other kind.
+    other kind.  Closures are immutable and hashable, so a tuple of them
+    can key the kernels' operator caches; the hash is computed once,
+    because the kernels look their operators up on every call.
     """
 
-    def __init__(self, face, kind, scalar=0.0):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown closure kind {kind!r}, expected one of {_KINDS}")
-        if kind != PRESSURE_ABB and scalar != 0.0:
-            raise ValueError(f"closure kind {kind!r} takes no imposed scalar")
-        self.face = face
-        self.kind = kind
-        self.scalar = float(scalar)
+    face: str
+    kind: str
+    scalar: float = 0.0
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __repr__(self):
-        if self.kind == PRESSURE_ABB:
-            return f"BoundaryClosure({self.face!r}, {self.kind!r}, {self.scalar!r})"
-        return f"BoundaryClosure({self.face!r}, {self.kind!r})"
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(
+                f"unknown closure kind {self.kind!r}, expected one of {_KINDS}"
+            )
+        if self.kind != PRESSURE_ABB and self.scalar != 0.0:
+            raise ValueError(f"closure kind {self.kind!r} takes no imposed scalar")
+        object.__setattr__(self, "scalar", float(self.scalar))
+        object.__setattr__(self, "_hash", hash((self.face, self.kind, self.scalar)))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoundaryClosure)
-            and self.face == other.face
-            and self.kind == other.kind
-            and self.scalar == other.scalar
-        )
+    def __hash__(self):
+        return self._hash
 
 
 def anti_bounce_back_1d(f_star_out):
@@ -87,23 +87,6 @@ def anti_bounce_back_1d(f_star_out):
     spacing beyond the node (exactly so at the magic product).
     """
     return -np.asarray(f_star_out, dtype=np.float64)
-
-
-def bounce_back_wall(f_star_down, f_star_down_left, f_star_down_right):
-    """Incoming wall-crossing populations at a bottom-wall node.
-
-    Each incoming population equals the post-collision value of its
-    opposite direction at the same node, with a plus sign (no slip).
-    Arguments are the three outgoing post-collision populations
-    (straight down, down-left, down-right); the return order is their
-    opposites (straight up, up-right, up-left).  The top wall is the
-    mirror image.
-    """
-    return (
-        np.asarray(f_star_down, dtype=np.float64),
-        np.asarray(f_star_down_left, dtype=np.float64),
-        np.asarray(f_star_down_right, dtype=np.float64),
-    )
 
 
 def pressure_abb_coefficient(alpha, beta):
@@ -136,45 +119,45 @@ def sound_speed_sq(alpha, lam=1.0):
 
 def diffusion_closures():
     """Both line ends pinned to zero density by anti-bounce-back."""
-    return [
+    return (
         BoundaryClosure("left", ANTI_BOUNCE_BACK),
         BoundaryClosure("right", ANTI_BOUNCE_BACK),
-    ]
+    )
 
 
 def periodic_line_closures():
     """Fully periodic line."""
-    return [
+    return (
         BoundaryClosure("left", PERIODIC),
         BoundaryClosure("right", PERIODIC),
-    ]
+    )
 
 
 def force_channel_closures():
     """Channel with solid walls top and bottom and periodic ends."""
-    return [
+    return (
         BoundaryClosure("west", PERIODIC),
         BoundaryClosure("east", PERIODIC),
         BoundaryClosure("south", BOUNCE_BACK),
         BoundaryClosure("north", BOUNCE_BACK),
-    ]
+    )
 
 
 def pressure_channel_closures(delta_rho):
     """Channel with solid walls and a density offset +/-delta_rho at the ends."""
-    return [
+    return (
         BoundaryClosure("west", PRESSURE_ABB, +delta_rho),
         BoundaryClosure("east", PRESSURE_ABB, -delta_rho),
         BoundaryClosure("south", BOUNCE_BACK),
         BoundaryClosure("north", BOUNCE_BACK),
-    ]
+    )
 
 
 def periodic_plane_closures():
     """Fully periodic plane."""
-    return [
+    return (
         BoundaryClosure("west", PERIODIC),
         BoundaryClosure("east", PERIODIC),
         BoundaryClosure("south", PERIODIC),
         BoundaryClosure("north", PERIODIC),
-    ]
+    )

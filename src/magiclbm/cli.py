@@ -303,9 +303,6 @@ def _cmd_diffusivity(cfg):
         ("mode", cfg.mode),
         ("steps", cfg.steps),
         ("skip", cfg.skip),
-        ("lam", cfg.lam),
-        ("dx", cfg.dx),
-        ("dt", cfg.dt),
     ]
     columns = (
         ("measured_kappa", "dx^2/dt"),
@@ -341,9 +338,6 @@ def _cmd_viscosity(cfg):
         ("mode", cfg.mode),
         ("steps", cfg.steps),
         ("skip", cfg.skip),
-        ("lam", cfg.lam),
-        ("dx", cfg.dx),
-        ("dt", cfg.dt),
     ]
     columns = (
         ("measured_nu", "dx^2/dt"),

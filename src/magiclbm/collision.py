@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "EquilibriumParams",
     "RelaxationSettings",
     "s_to_sigma",
     "sigma_to_s",
@@ -45,43 +44,10 @@ __all__ = [
     "apply_force_split_half",
     "apply_force_population",
     "population_force_increments",
-    "viscosity_to_s",
-    "s_to_viscosity",
     "diffusivity_from_params",
 ]
 
 _STABILITY_MSG = "outside the stability interval 0 < s < 2"
-
-
-class EquilibriumParams:
-    """Free coefficients of the equilibrium moments.
-
-    For the line lattice only ``zeta`` is used (the second-moment
-    coefficient; its meaning differs between basis variants a and b).
-    For the plane lattice ``alpha`` and ``beta`` scale the energy and
-    energy-square equilibria.
-    """
-
-    def __init__(self, zeta=None, alpha=None, beta=None):
-        self.zeta = None if zeta is None else float(zeta)
-        self.alpha = None if alpha is None else float(alpha)
-        self.beta = None if beta is None else float(beta)
-
-    def __repr__(self):
-        parts = []
-        for name in ("zeta", "alpha", "beta"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}={value!r}")
-        return "EquilibriumParams(" + ", ".join(parts) + ")"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EquilibriumParams)
-            and self.zeta == other.zeta
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-        )
 
 
 class RelaxationSettings:
@@ -237,20 +203,6 @@ def population_force_increments(fx, lam=1.0):
         [0.0, 1.0 / 3.0, 0.0, -1.0 / 3.0, 0.0, 1.0 / 12.0, -1.0 / 12.0, -1.0 / 12.0, 1.0 / 12.0]
     )
     return (fx / lam) * base
-
-
-def viscosity_to_s(nu, lam=1.0, dt=1.0):
-    """Stress-pair rate giving shear viscosity nu: s = 1/(3 nu/(lam^2 dt) + 1/2)."""
-    nu = float(nu)
-    if nu <= 0.0:
-        raise ConfigurationError(f"viscosity must be positive, got {nu}")
-    sigma8 = 3.0 * nu / (lam * lam * dt)
-    return sigma_to_s(sigma8)
-
-
-def s_to_viscosity(s, lam=1.0, dt=1.0):
-    """Shear viscosity from the stress-pair rate: nu = sigma8 lam^2 dt / 3."""
-    return s_to_sigma(s) * lam * lam * dt / 3.0
 
 
 def diffusivity_from_params(variant, sigma1, zeta, lam=1.0, dt=1.0):

@@ -2,7 +2,7 @@
 
 A run is described by a flat INI document with a handful of sections
 ([scheme], [grid], [relaxation], [driving], [criterion], [sweep],
-[root], [measure], [units], [output]).  Parsing is strict and total:
+[root], [measure], [output]).  Parsing is strict and total:
 unknown sections or keys are rejected, and every violation in the
 document is collected and reported in a single pass, annotated with the
 source file and line where the offending key appears.
@@ -65,7 +65,6 @@ _SCHEMA = {
     "sweep": ("products", "split_check"),
     "root": ("bracket_lo", "bracket_hi", "product_tol", "max_evals"),
     "measure": ("n", "mode", "steps", "skip", "nx", "ny"),
-    "units": ("lam", "dx", "dt"),
     "output": ("directory",),
 }
 
@@ -122,9 +121,6 @@ class RunConfig:
     mode: int = 1
     steps: int = 2000
     skip: int = 200
-    lam: float = 1.0
-    dx: float = 1.0
-    dt: float = 1.0
     out_dir: str = field(default=".", compare=False)
 
 
@@ -543,27 +539,6 @@ def _collect_common(col, values):
     values["steps"] = steps
     values["skip"] = skip
 
-    lam = col.take("units", "lam", float, "a number")
-    dx = col.take("units", "dx", float, "a number")
-    dt = col.take("units", "dt", float, "a number")
-    lam = 1.0 if lam is None else lam
-    dx = 1.0 if dx is None else dx
-    dt = 1.0 if dt is None else dt
-    for key, val in (("lam", lam), ("dx", dx), ("dt", dt)):
-        if val <= 0.0:
-            col.note("units", key, f"must be positive, got {val}")
-    if lam > 0.0 and dx > 0.0 and dt > 0.0:
-        if abs(lam - dx / dt) > 1e-12 * max(abs(lam), abs(dx / dt)):
-            col.note(
-                "units",
-                "lam",
-                f"lam must equal dx/dt (acoustic scaling): "
-                f"lam={lam} but dx/dt={dx / dt}",
-            )
-    values["lam"] = lam
-    values["dx"] = dx
-    values["dt"] = dt
-
     out_dir = col.take("output", "directory", str.strip, "a path")
     values["out_dir"] = "." if out_dir is None else out_dir
 
@@ -649,12 +624,6 @@ def render_config(cfg):
     lines.append(f"mode = {cfg.mode}")
     lines.append(f"steps = {cfg.steps}")
     lines.append(f"skip = {cfg.skip}")
-
-    lines.append("")
-    lines.append("[units]")
-    lines.append(f"lam = {_fmt(cfg.lam)}")
-    lines.append(f"dx = {_fmt(cfg.dx)}")
-    lines.append(f"dt = {_fmt(cfg.dt)}")
 
     return "\n".join(lines) + "\n"
 

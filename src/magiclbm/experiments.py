@@ -116,11 +116,6 @@ class D1Q3Experiment:
             object.__setattr__(self, "zeta", 1.0 / 3.0 if self.variant == "a" else 1.0)
 
     @property
-    def c2(self):
-        """Energy-row equilibrium coefficient in lattice units."""
-        return 0.5 * self.zeta if self.variant == "a" else self.zeta
-
-    @property
     def diffusivity(self):
         return diffusivity_from_params(self.variant, self.sigma1, self.zeta)
 
@@ -192,51 +187,12 @@ class MagicSweep:
     variant: str
 
 
-def _d1q3_codes(exp):
-    basis = build_d1q3_basis(exp.variant)
-    settings = relaxation_d1q3(exp.sigma1, exp.sigma2)
-    s1, s2 = settings.s[1], settings.s[2]
-    return basis, s1, s2
-
-
-def _d2q9_codes(exp):
-    settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
-    if exp.driving == "force-split-half":
-        return dict(
-            settings=settings,
-            alpha=exp.alpha,
-            beta=exp.beta,
-            fx=exp.fx,
-            force_code=kernels.FORCE_SPLIT_HALF,
-            x_code=kernels.X_PERIODIC,
-            y_code=kernels.Y_WALL,
-            delta_rho=0.0,
-            press_coeff=0.0,
-        )
-    if exp.driving == "force-population":
-        return dict(
-            settings=settings,
-            alpha=exp.alpha,
-            beta=exp.beta,
-            fx=exp.fx,
-            force_code=kernels.FORCE_POPULATION,
-            x_code=kernels.X_PERIODIC,
-            y_code=kernels.Y_WALL,
-            delta_rho=0.0,
-            press_coeff=0.0,
-        )
-    delta_rho = exp.delta_p / boundaries.sound_speed_sq(exp.alpha)
-    return dict(
-        settings=settings,
-        alpha=exp.alpha,
-        beta=exp.beta,
-        fx=0.0,
-        force_code=kernels.FORCE_NONE,
-        x_code=kernels.X_PRESSURE,
-        y_code=kernels.Y_WALL,
-        delta_rho=delta_rho,
-        press_coeff=boundaries.pressure_abb_coefficient(exp.alpha, exp.beta),
-    )
+def _channel(exp):
+    """Closures and body-force driving of a channel experiment."""
+    if exp.driving == "pressure":
+        delta_rho = exp.delta_p / boundaries.sound_speed_sq(exp.alpha)
+        return boundaries.pressure_channel_closures(delta_rho), None
+    return boundaries.force_channel_closures(), exp.driving
 
 
 def _march(run_chunk, f, criterion):
@@ -284,19 +240,23 @@ def run_to_steady(exp, init=None):
     """
     if isinstance(exp, D1Q3Experiment):
         shape = (3, exp.n)
-        basis, s1, s2 = _d1q3_codes(exp)
+        closures = boundaries.diffusion_closures()
+        settings = relaxation_d1q3(exp.sigma1, exp.sigma2)
 
         def run_chunk(f, chunk):
             return kernels.d1q3_run(
-                f, chunk, basis, s1, s2, exp.c2, exp.source, kernels.BC_ANTI_BOUNCE_BACK
+                f, chunk, closures, settings, exp.variant, exp.zeta, exp.source
             )
 
     elif isinstance(exp, D2Q9Experiment):
         shape = (9, exp.ny, exp.nx)
-        kw = _d2q9_codes(exp)
+        closures, driving = _channel(exp)
+        settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
 
         def run_chunk(f, chunk):
-            return kernels.d2q9_run(f, chunk, **kw)
+            return kernels.d2q9_run(
+                f, chunk, closures, settings, exp.alpha, exp.beta, driving, exp.fx
+            )
 
     else:
         raise TypeError(f"unsupported experiment type {type(exp).__name__}")
@@ -572,16 +532,18 @@ def measure_diffusivity(
     transient.
     """
     exp = D1Q3Experiment(variant=variant, n=n, sigma1=sigma1, sigma2=sigma2, zeta=zeta)
-    basis, s1, s2 = _d1q3_codes(exp)
+    closures = boundaries.periodic_line_closures()
+    settings = relaxation_d1q3(sigma1, sigma2)
     x = np.arange(n, dtype=np.float64)
     k = 2.0 * np.pi * mode / n
     wave = np.sin(k * x)
+    basis = build_d1q3_basis(exp.variant)
     f = from_moments(basis, equilibrium_d1q3(exp.variant, wave, exp.zeta))
     proj = 2.0 / n * wave
     amps = np.empty(steps + 1)
     amps[0] = proj @ (f[0] + f[1] + f[2])
     for t in range(1, steps + 1):
-        f = kernels.d1q3_run(f, 1, basis, s1, s2, exp.c2, 0.0, kernels.BC_PERIODIC)
+        f = kernels.d1q3_run(f, 1, closures, settings, exp.variant, exp.zeta)
         amps[t] = proj @ (f[0] + f[1] + f[2])
     return _decay_rate(amps, skip) / (k * k)
 
@@ -604,6 +566,7 @@ def measure_viscosity(
     like exp(-nu k^2 t); nu comes from a log-linear fit of the
     projection amplitude.
     """
+    closures = boundaries.periodic_plane_closures()
     settings = relaxation_d2q9(sigma5, sigma8, s_bulk)
     x = np.arange(nx, dtype=np.float64)
     k = 2.0 * np.pi * mode / nx
@@ -620,15 +583,7 @@ def measure_viscosity(
     amps = np.empty(steps + 1)
     amps[0] = amplitude(f)
     for t in range(1, steps + 1):
-        f = kernels.d2q9_run(
-            f,
-            1,
-            settings,
-            alpha,
-            beta,
-            x_code=kernels.X_PERIODIC,
-            y_code=kernels.Y_PERIODIC,
-        )
+        f = kernels.d2q9_run(f, 1, closures, settings, alpha, beta)
         amps[t] = amplitude(f)
     return _decay_rate(amps, skip) / (k * k)
 
@@ -652,6 +607,7 @@ def measure_sound_speed(
     returned.  Validates the squared-sound-speed convention
     (4 + alpha) / 6 used to convert pressure drops to density offsets.
     """
+    closures = boundaries.periodic_plane_closures()
     settings = relaxation_d2q9(sigma5, sigma8, s_bulk)
     x = np.arange(nx, dtype=np.float64)
     k = 2.0 * np.pi * mode / nx
@@ -664,15 +620,7 @@ def measure_sound_speed(
     amps = np.empty(steps + 1)
     amps[0] = float(np.sum(proj * (f.sum(axis=0))))
     for t in range(1, steps + 1):
-        f = kernels.d2q9_run(
-            f,
-            1,
-            settings,
-            alpha,
-            beta,
-            x_code=kernels.X_PERIODIC,
-            y_code=kernels.Y_PERIODIC,
-        )
+        f = kernels.d2q9_run(f, 1, closures, settings, alpha, beta)
         amps[t] = float(np.sum(proj * (f.sum(axis=0))))
 
     crossings = []

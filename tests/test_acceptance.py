@@ -23,8 +23,15 @@ import time
 import numpy as np
 import pytest
 
-from magiclbm.boundaries import periodic_line_closures, periodic_plane_closures
+from magiclbm.boundaries import (
+    diffusion_closures,
+    force_channel_closures,
+    periodic_line_closures,
+    periodic_plane_closures,
+    pressure_channel_closures,
+)
 from magiclbm.collision import (
+    RelaxationSettings,
     diffusivity_from_params,
     equilibrium_d2q9,
     relax,
@@ -42,7 +49,7 @@ from magiclbm.experiments import (
     wall_offset,
 )
 from magiclbm.fitting import fit_parabola
-from magiclbm.kernels import d2q9_run
+from magiclbm.kernels import d1q3_run, d2q9_run
 from magiclbm.lattice import (
     D1Q3,
     D2Q9,
@@ -229,31 +236,25 @@ def test_criterion_8_rest_states_are_fixed_under_all_closures():
     # Zero deviation fields are exact fixed points of the wall-bounded
     # updates; a uniform density at rest survives the walled channel to
     # roundoff.
-    from magiclbm.kernels import (
-        BC_ANTI_BOUNCE_BACK,
-        X_PRESSURE,
-        Y_WALL,
-        d1q3_run,
-    )
-
     zeros1 = np.zeros((3, 12))
     out1 = d1q3_run(
-        zeros1, 10, build_d1q3_basis("a"), 1.0, 0.8, 1.0 / 6.0, 0.0,
-        BC_ANTI_BOUNCE_BACK,
+        zeros1, 10, diffusion_closures(), RelaxationSettings((0.0, 1.0, 0.8)),
+        "a", 1.0 / 3.0,
     )
     assert np.array_equal(out1, zeros1)
 
     zeros9 = np.zeros((9, 7, 9))
     out9 = d2q9_run(
-        zeros9, 10, relaxation_d2q9(0.375, 1.0), -2.0, 1.0,
-        x_code=X_PRESSURE, y_code=Y_WALL,
-        delta_rho=0.0, press_coeff=2.0 / 9.0,
+        zeros9, 10, pressure_channel_closures(0.0), relaxation_d2q9(0.375, 1.0),
+        -2.0, 1.0,
     )
     assert np.array_equal(out9, zeros9)
 
     basis = build_d2q9_basis()
     uniform = from_moments(basis, equilibrium_d2q9(np.ones((7, 9)), 0.0, 0.0, -2.0, 1.0))
-    settled = d2q9_run(uniform, 50, relaxation_d2q9(0.375, 1.0), -2.0, 1.0)
+    settled = d2q9_run(
+        uniform, 50, force_channel_closures(), relaxation_d2q9(0.375, 1.0), -2.0, 1.0
+    )
     assert np.max(np.abs(settled - uniform)) < 1e-13
 
 

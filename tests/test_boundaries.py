@@ -10,7 +10,6 @@ from magiclbm.boundaries import (
     PRESSURE_ABB,
     BoundaryClosure,
     anti_bounce_back_1d,
-    bounce_back_wall,
     diffusion_closures,
     force_channel_closures,
     periodic_line_closures,
@@ -29,11 +28,6 @@ from magiclbm.boundaries import (
 
 def test_anti_bounce_back_flips_sign():
     assert anti_bounce_back_1d(0.1) == pytest.approx(-0.1)
-
-
-def test_bounce_back_returns_populations_unchanged():
-    reflected = bounce_back_wall(0.2, 0.05, 0.07)
-    assert tuple(float(v) for v in reflected) == (0.2, 0.05, 0.07)
 
 
 @pytest.mark.parametrize(
@@ -114,3 +108,6 @@ def test_periodic_plane_closures_cover_all_faces():
 def test_closure_equality():
     assert BoundaryClosure("left", PERIODIC) == BoundaryClosure("left", PERIODIC)
     assert BoundaryClosure("left", PERIODIC) != BoundaryClosure("right", PERIODIC)
+    # Equal closures hash equally, so equal tuples hit the kernels' caches.
+    assert hash(pressure_channel_closures(1e-6)) == hash(pressure_channel_closures(1e-6))
+    assert hash(pressure_channel_closures(1e-6)) != hash(pressure_channel_closures(2e-6))

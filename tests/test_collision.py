@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from magiclbm.collision import (
-    EquilibriumParams,
     RelaxationSettings,
     apply_diffusion_source,
     apply_force_population,
@@ -17,9 +16,7 @@ from magiclbm.collision import (
     relaxation_d1q3,
     relaxation_d2q9,
     s_to_sigma,
-    s_to_viscosity,
     sigma_to_s,
-    viscosity_to_s,
 )
 from magiclbm.errors import ConfigurationError
 from magiclbm.lattice import build_d2q9_basis
@@ -197,21 +194,6 @@ def test_population_force_increment_table():
 # ---------------------------------------------------------------------------
 
 
-def test_viscosity_to_s_oracle():
-    # nu = lam^2 dt / 6 sits exactly at s = 1.
-    assert viscosity_to_s(1.0 / 6.0) == pytest.approx(1.0)
-
-
-def test_s_to_viscosity_oracle():
-    # sigma8 = 3/2 (s = 1/2) gives nu = lam^2 dt / 2.
-    assert s_to_viscosity(0.5) == pytest.approx(0.5)
-
-
-def test_viscosity_maps_invert_each_other():
-    for nu in (0.01, 1.0 / 6.0, 0.4):
-        assert s_to_viscosity(viscosity_to_s(nu)) == pytest.approx(nu, rel=1e-14)
-
-
 def test_diffusivity_formulas():
     # Variant a: kappa = sigma1 zeta lam^2 dt.
     assert diffusivity_from_params("a", 1.0, 1.0 / 3.0) == pytest.approx(1.0 / 3.0)
@@ -226,9 +208,3 @@ def test_diffusivity_variants_agree_on_matched_zeta():
     ka = diffusivity_from_params("a", 0.8, zeta_a)
     kb = diffusivity_from_params("b", 0.8, zeta_b)
     assert ka == pytest.approx(kb, rel=1e-14)
-
-
-def test_equilibrium_params_holds_coefficients():
-    params = EquilibriumParams(alpha=-2.0, beta=1.0)
-    assert params.alpha == -2.0
-    assert params.beta == 1.0

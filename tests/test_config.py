@@ -41,7 +41,6 @@ def test_minimal_line_config_defaults():
     assert cfg.source == 1e-6
     assert cfg.tolerance == 1e-15
     assert cfg.check_every == 100
-    assert cfg.lam == cfg.dx == cfg.dt == 1.0
 
 
 def test_minimal_plane_config_defaults():
@@ -139,8 +138,9 @@ def test_unknown_key_is_rejected_with_location():
 
 
 def test_unknown_section_is_rejected():
-    (violation,) = violations_of("[scheme]\nmodel = d1q3\n\n[junk]\na = 1\n")
-    assert "unknown section [junk]" in violation
+    for section, key in (("junk", "a = 1"), ("units", "lam = 1.0")):
+        (violation,) = violations_of(f"{MINIMAL_LINE}\n[{section}]\n{key}\n")
+        assert f"unknown section [{section}]" in violation
 
 
 def test_unstable_rate_names_the_interval():
@@ -168,21 +168,6 @@ def test_singular_pressure_predictor_is_a_parse_error():
     )
     assert "scheme.beta" in violation
     assert "alpha + 2 beta - 4 = 0" in violation
-
-
-def test_units_must_satisfy_acoustic_scaling():
-    (violation,) = violations_of(
-        "[scheme]\nmodel = d1q3\n\n[units]\nlam = 2.0\ndx = 1.0\ndt = 1.0\n"
-    )
-    assert "lam must equal dx/dt" in violation
-
-
-def test_consistent_units_parse_and_hash():
-    cfg = parse_config(
-        MINIMAL_LINE + "\n[units]\nlam = 2.0\ndx = 1.0\ndt = 0.5\n"
-    )
-    assert (cfg.lam, cfg.dx, cfg.dt) == (2.0, 1.0, 0.5)
-    assert "[units]" in render_config(cfg)
 
 
 def test_half_bracket_is_rejected():

@@ -18,8 +18,10 @@ from magiclbm.errors import (
     LocalizationError,
     MeasurementError,
 )
+from magiclbm import kernels
 from magiclbm.collision import diffusivity_from_params
 from magiclbm.experiments import (
+    DRIVING_TAGS,
     D1Q3Experiment,
     D2Q9Experiment,
     MagicSweep,
@@ -245,6 +247,37 @@ def test_warm_start_resumes_from_steady_state():
     assert wall_offset(exp, g).delta_q == pytest.approx(
         wall_offset(exp, f).delta_q, abs=1e-12
     )
+
+
+def test_kernel_calls_go_through_the_module_with_f_and_steps_first(monkeypatch):
+    # The traced benchmark swaps kernels.d1q3_run / d2q9_run by name and
+    # reads the populations and the step count from args[0] and args[1].
+    calls = []
+
+    def recorder(name):
+        real = getattr(kernels, name)
+
+        def record(*args, **kwargs):
+            calls.append((name, args))
+            return real(*args, **kwargs)
+
+        return record
+
+    for name in ("d1q3_run", "d2q9_run"):
+        monkeypatch.setattr(kernels, name, recorder(name))
+    quick = SteadyStateCriterion(tolerance=1.0, check_every=10, max_steps=10)
+    run_to_steady(D1Q3Experiment(n=8, criterion=quick))
+    for driving in DRIVING_TAGS:
+        run_to_steady(D2Q9Experiment(driving=driving, nx=6, ny=5, criterion=quick))
+    measure_diffusivity("a", 1.0, 0.125, n=8, steps=20, skip=2)
+    measure_viscosity(0.375, 1.0, nx=8, ny=4, steps=20, skip=2)
+
+    names = [name for name, _ in calls]
+    assert names.count("d1q3_run") == 1 + 20
+    assert names.count("d2q9_run") == len(DRIVING_TAGS) + 20
+    for _, args in calls:
+        assert isinstance(args[0], np.ndarray)
+        assert type(args[1]) is int
 
 
 def test_criterion_validates_its_fields():
