@@ -106,15 +106,15 @@ def pressure_anti_bounce_back(f_star_opposite, scalar, alpha, beta):
     return -np.asarray(f_star_opposite, dtype=np.float64) + coeff * scalar
 
 
-def sound_speed_sq(alpha, lam=1.0):
-    """Squared sound speed of the plane lattice, lam^2 * (4 + alpha) / 6.
+def sound_speed_sq(alpha):
+    """Squared sound speed of the plane lattice, (4 + alpha) / 6.
 
     Depends on the energy-moment equilibrium coefficient alpha only;
-    reduces to the familiar lam^2 / 3 at alpha = -2.  Used to convert an
+    reduces to the familiar 1 / 3 at alpha = -2.  Used to convert an
     imposed pressure drop into the density offset the pressure closure
     needs.
     """
-    return lam * lam * (4.0 + alpha) / 6.0
+    return (4.0 + alpha) / 6.0
 
 
 def diffusion_closures():

@@ -6,9 +6,10 @@ configuration (see config.py), optionally patched by repeatable
 output directory; the sweep and root-finding commands also write a
 companion <command>.plot script that redraws the sweep figure.
 
-Exit codes: 0 success, 2 invalid configuration or usage, 3 a march ran
-out of steps before settling, 4 a settled result could not be reduced
-(wall not localized, degenerate fit, or measurement signal exhausted).
+Exit codes: 0 success, 2 invalid configuration or usage, 3 a march
+diverged or ran out of steps before settling, 4 a settled result could
+not be reduced (wall not localized, degenerate fit, or measurement
+signal exhausted).
 
 Single-run commands imply their scheme (for example poiseuille-pressure
 implies model d2q9 with pressure driving), so they work without a
@@ -18,13 +19,13 @@ from the configuration.
 """
 
 import argparse
-import configparser
 import os
 import sys
 
 from . import bench, results
 from .collision import diffusivity_from_params
-from .config import build_experiment, config_hash, parse_config, predicted_product
+from .config import _apply_overrides, _read_document, build_experiment, config_hash
+from .config import parse_config, predicted_product
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -101,25 +102,18 @@ def build_parser():
 
 
 def _inspect_scheme(text, overrides):
-    """Best-effort read of scheme.model / scheme.driving before validation."""
-    model = driving = None
+    """Best-effort read of scheme.model / scheme.driving before validation.
+
+    A document that does not read is left to parse_config, which reports
+    it with its location.
+    """
     try:
-        parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-        parser.read_string(text)
-        model = parser.get("scheme", "model", fallback=None)
-        driving = parser.get("scheme", "driving", fallback=None)
-    except configparser.Error:
-        pass
-    for item in overrides:
-        head, sep, value = item.partition("=")
-        if not sep:
-            continue
-        key = head.strip().lower()
-        if key == "scheme.model":
-            model = value.strip()
-        elif key == "scheme.driving":
-            driving = value.strip()
-    return model, driving
+        raw = _read_document(text, "<config>")
+    except ConfigurationError:
+        raw = {}
+    _apply_overrides(raw, {}, overrides)
+    scheme = raw.get("scheme", {})
+    return scheme.get("model"), scheme.get("driving")
 
 
 def _load_config(args):

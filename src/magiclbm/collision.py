@@ -112,18 +112,17 @@ def relaxation_d2q9(sigma5, sigma8, s_bulk=1.2):
     return RelaxationSettings((0.0, 0.0, 0.0, s_bulk, s_bulk, s5, s5, s8, s8))
 
 
-def equilibrium_d1q3(variant, rho, zeta, lam=1.0):
+def equilibrium_d1q3(variant, rho, zeta):
     """Equilibrium moments (rho, 0, c2 * rho) of the line lattice.
 
-    The second-moment coefficient is c2 = zeta * lam^2 / 2 for basis
-    variant a and c2 = zeta * lam^2 for variant b.
+    The second-moment coefficient is c2 = zeta / 2 for basis variant a
+    and c2 = zeta for variant b.
     """
     v = variant.lower()
-    l2 = lam * lam
     if v == "a":
-        c2 = 0.5 * zeta * l2
+        c2 = 0.5 * zeta
     elif v == "b":
-        c2 = zeta * l2
+        c2 = zeta
     else:
         raise ValueError(f"unknown line-basis variant {variant!r}, expected 'a' or 'b'")
     rho = np.asarray(rho, dtype=np.float64)
@@ -197,25 +196,25 @@ def apply_force_population(m, fx):
     return out
 
 
-def population_force_increments(fx, lam=1.0):
+def population_force_increments(fx):
     """Population-space increment vector of the population-form force."""
     base = np.array(
         [0.0, 1.0 / 3.0, 0.0, -1.0 / 3.0, 0.0, 1.0 / 12.0, -1.0 / 12.0, -1.0 / 12.0, 1.0 / 12.0]
     )
-    return (fx / lam) * base
+    return fx * base
 
 
-def diffusivity_from_params(variant, sigma1, zeta, lam=1.0, dt=1.0):
-    """Bulk diffusivity of the line schemes.
+def diffusivity_from_params(variant, sigma1, zeta):
+    """Bulk diffusivity of the line schemes, in lattice units.
 
-    Variant a: kappa = sigma1 * zeta * lam^2 dt.
-    Variant b: kappa = sigma1 * (2 + zeta) / 3 * lam^2 dt.
+    Variant a: kappa = sigma1 * zeta.
+    Variant b: kappa = sigma1 * (2 + zeta) / 3.
     The two coincide when the variant-a coefficient equals
     (2 + zeta_b) / 3.
     """
     v = variant.lower()
     if v == "a":
-        return sigma1 * zeta * lam * lam * dt
+        return sigma1 * zeta
     if v == "b":
-        return sigma1 * (2.0 + zeta) / 3.0 * lam * lam * dt
+        return sigma1 * (2.0 + zeta) / 3.0
     raise ValueError(f"unknown line-basis variant {variant!r}, expected 'a' or 'b'")

@@ -32,7 +32,7 @@ class ConfigurationError(MagicLBMError):
 
 
 class ConvergenceError(MagicLBMError):
-    """A time march exhausted its step budget before reaching steady state."""
+    """A time march diverged or exhausted its step budget before steady state."""
 
     def __init__(self, message, last_change=None, steps=None):
         super().__init__(message)

@@ -49,6 +49,7 @@ __all__ = [
     "sweep_product",
     "find_magic_root",
     "predict_magic",
+    "predicted_product",
     "measure_diffusivity",
     "measure_viscosity",
     "measure_sound_speed",
@@ -212,6 +213,13 @@ def _march(run_chunk, f, criterion):
         rel = change / scale / chunk
         if rel < criterion.tolerance:
             return f, steps_done
+        if not np.isfinite(rel):
+            raise ConvergenceError(
+                f"march diverged: relative change per step {rel} after "
+                f"{steps_done} steps",
+                last_change=rel,
+                steps=steps_done,
+            )
     raise ConvergenceError(
         f"no steady state within {criterion.max_steps} steps "
         f"(last relative change per step {rel})",
@@ -236,7 +244,8 @@ def run_to_steady(exp, init=None):
     Raises
     ------
     ConvergenceError
-        When the criterion's step budget runs out first.
+        When the criterion's step budget runs out first, or as soon as
+        the relative change of a check is not finite (the march diverged).
     """
     if isinstance(exp, D1Q3Experiment):
         shape = (3, exp.n)
@@ -373,12 +382,17 @@ def predict_magic(variant, alpha=None, beta=None):
     raise ConfigurationError(f"unknown scheme variant {variant!r} for predict_magic")
 
 
-def _predict_for(exp):
-    if isinstance(exp, D1Q3Experiment):
-        return predict_magic(exp.tag)
-    if exp.driving == "pressure":
-        return predict_magic("pressure", exp.alpha, exp.beta)
-    return predict_magic(exp.driving)
+def predicted_product(scheme):
+    """Closed-form magic product of an experiment or a run configuration.
+
+    A scheme whose ``driving`` is set is a channel (pressure driving also
+    reads ``alpha`` and ``beta``); any other is a line of basis
+    ``variant``.
+    """
+    driving = getattr(scheme, "driving", None)
+    if driving is None:
+        return predict_magic(f"d1q3-{scheme.variant}")
+    return predict_magic(driving, scheme.alpha, scheme.beta)
 
 
 def sweep_product(exp, products, extra_factorizations=None, split_check=True):
@@ -422,7 +436,7 @@ def sweep_product(exp, products, extra_factorizations=None, split_check=True):
     return MagicSweep(
         samples=tuple(samples),
         root=None,
-        prediction=_predict_for(exp),
+        prediction=predicted_product(exp),
         variant=exp.tag,
     )
 
@@ -442,7 +456,7 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
         When the bracket shows no sign change, or the evaluation budget
         runs out before the bracket narrows to ``product_tol``.
     """
-    prediction = _predict_for(exp)
+    prediction = predicted_product(exp)
     if bracket is None:
         bracket = (0.5 * prediction, 2.0 * prediction)
     lo, hi = float(bracket[0]), float(bracket[1])

@@ -13,10 +13,8 @@ density sum, and the plane basis keeps rows 1 and 2 equal to the two
 momentum components, so conserved quantities are plain components of
 ``m``.
 
-Internally the code works in lattice units: grid spacing, time step and
-velocity scale are all 1.  The line bases accept an explicit velocity
-scale ``lam`` so that unit-carrying call sites can build the matching
-matrices; the plane basis is defined with integer rows in lattice units.
+The code works in lattice units: grid spacing, time step and velocity
+scale are all 1.
 """
 
 import numpy as np
@@ -85,8 +83,6 @@ class MomentBasis:
     ----------
     name : str
         Identifies the basis ("d1q3-a", "d1q3-b", "d2q9").
-    lam : float
-        Velocity scale used to build the matrix.
     matrix : (q, q) float array
         Rows are moments, columns are populations: ``m = matrix @ f``.
     inverse : (q, q) float array
@@ -95,9 +91,8 @@ class MomentBasis:
         One name per row.
     """
 
-    def __init__(self, name, lam, matrix, inverse, moment_names):
+    def __init__(self, name, matrix, inverse, moment_names):
         self.name = name
-        self.lam = float(lam)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.inverse = np.asarray(inverse, dtype=np.float64)
         self.moment_names = tuple(moment_names)
@@ -107,51 +102,47 @@ class MomentBasis:
         return self.matrix.shape[0]
 
     def __repr__(self):
-        return f"MomentBasis({self.name!r}, lam={self.lam})"
+        return f"MomentBasis({self.name!r})"
 
 
-def build_d1q3_basis(variant, lam=1.0):
+def build_d1q3_basis(variant):
     """Build a line-lattice moment basis.
 
     Two variants are supported; both share the density row (1, 1, 1) and
-    the flux row (0, lam, -lam) but differ in the second-order row:
+    the flux row (0, 1, -1) but differ in the second-order row:
 
-    * variant "a": energy row (0, lam^2/2, lam^2/2),
-    * variant "b": energy row lam^2 * (-2, 1, 1).
+    * variant "a": energy row (0, 1/2, 1/2),
+    * variant "b": energy row (-2, 1, 1).
 
     The two give identical hydrodynamics in the bulk but different
     boundary-layer behaviour, which is the point of keeping both.
     """
-    lam = float(lam)
-    if lam <= 0:
-        raise ValueError(f"velocity scale must be positive, got {lam}")
     v = variant.lower()
-    l2 = lam * lam
     if v == "a":
         matrix = [
             [1.0, 1.0, 1.0],
-            [0.0, lam, -lam],
-            [0.0, l2 / 2.0, l2 / 2.0],
+            [0.0, 1.0, -1.0],
+            [0.0, 0.5, 0.5],
         ]
         inverse = [
-            [1.0, 0.0, -2.0 / l2],
-            [0.0, 0.5 / lam, 1.0 / l2],
-            [0.0, -0.5 / lam, 1.0 / l2],
+            [1.0, 0.0, -2.0],
+            [0.0, 0.5, 1.0],
+            [0.0, -0.5, 1.0],
         ]
     elif v == "b":
         matrix = [
             [1.0, 1.0, 1.0],
-            [0.0, lam, -lam],
-            [-2.0 * l2, l2, l2],
+            [0.0, 1.0, -1.0],
+            [-2.0, 1.0, 1.0],
         ]
         inverse = [
-            [1.0 / 3.0, 0.0, -1.0 / (3.0 * l2)],
-            [1.0 / 3.0, 0.5 / lam, 1.0 / (6.0 * l2)],
-            [1.0 / 3.0, -0.5 / lam, 1.0 / (6.0 * l2)],
+            [1.0 / 3.0, 0.0, -1.0 / 3.0],
+            [1.0 / 3.0, 0.5, 1.0 / 6.0],
+            [1.0 / 3.0, -0.5, 1.0 / 6.0],
         ]
     else:
         raise ValueError(f"unknown line-basis variant {variant!r}, expected 'a' or 'b'")
-    return MomentBasis(f"d1q3-{v}", lam, matrix, inverse, ("rho", "j", "e"))
+    return MomentBasis(f"d1q3-{v}", matrix, inverse, ("rho", "j", "e"))
 
 
 # Integer moment rows for the square lattice, ordered (rho, jx, jy,
@@ -184,7 +175,7 @@ def build_d2q9_basis():
     ``inverse = matrix.T / row_norms``, which is what is stored.
     """
     inverse = _D2Q9_ROWS.T / _D2Q9_ROW_NORMS
-    return MomentBasis("d2q9", 1.0, _D2Q9_ROWS, inverse, _D2Q9_NAMES)
+    return MomentBasis("d2q9", _D2Q9_ROWS, inverse, _D2Q9_NAMES)
 
 
 def to_moments(basis, f):

@@ -200,9 +200,8 @@ def test_criterion_7_transport_coefficients_match_formulas():
 
 def test_criterion_8_basis_round_trips_are_exact():
     for variant in ("a", "b"):
-        for lam in (1.0, 2.0, 1.0 / 3.0):
-            basis = build_d1q3_basis(variant, lam=lam)
-            assert np.max(np.abs(basis.inverse @ basis.matrix - np.eye(3))) < 1e-13
+        basis = build_d1q3_basis(variant)
+        assert np.max(np.abs(basis.inverse @ basis.matrix - np.eye(3))) < 1e-13
     basis9 = build_d2q9_basis()
     assert np.max(np.abs(basis9.inverse @ basis9.matrix - np.eye(9))) < 1e-13
 

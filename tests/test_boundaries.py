@@ -44,10 +44,10 @@ def test_pressure_anti_bounce_back_combines_flip_and_offset():
 
 
 def test_sound_speed_squared():
-    # c_s^2 = lam^2 (4 + alpha) / 6.
+    # c_s^2 = (4 + alpha) / 6, which vanishes at alpha = -4.
     assert sound_speed_sq(-2.0) == pytest.approx(1.0 / 3.0)
     assert sound_speed_sq(-2.5) == pytest.approx(0.25)
-    assert sound_speed_sq(-2.0, lam=2.0) == pytest.approx(4.0 / 3.0)
+    assert sound_speed_sq(-4.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_relaxation_layouts():
 
 
 def test_line_equilibrium_variant_a_oracle():
-    # rho = 2, zeta = 1: energy moment is zeta lam^2 rho / 2 = 1.
+    # rho = 2, zeta = 1: energy moment is zeta rho / 2 = 1.
     meq = equilibrium_d1q3("a", rho=2.0, zeta=1.0)
     assert np.allclose(meq.ravel(), [2.0, 0.0, 1.0], atol=1e-15)
 
@@ -195,9 +195,9 @@ def test_population_force_increment_table():
 
 
 def test_diffusivity_formulas():
-    # Variant a: kappa = sigma1 zeta lam^2 dt.
+    # Variant a: kappa = sigma1 zeta.
     assert diffusivity_from_params("a", 1.0, 1.0 / 3.0) == pytest.approx(1.0 / 3.0)
-    # Variant b: kappa = sigma1 (2 + zeta) lam^2 dt / 3.
+    # Variant b: kappa = sigma1 (2 + zeta) / 3.
     assert diffusivity_from_params("b", 1.0, 1.0) == pytest.approx(1.0)
 
 

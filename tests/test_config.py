@@ -83,6 +83,17 @@ def test_boolean_words_parse():
 # ---------------------------------------------------------------------------
 
 
+# The default scheme of each line variant and channel driving, with the
+# hash its canonical rendering has had since the [units] section went.
+DEFAULT_SCHEME_HASHES = (
+    (MINIMAL_LINE, "401e40d7837e"),
+    (MINIMAL_LINE + "variant = b\n", "e7410dfeea63"),
+    (MINIMAL_PLANE, "553b1bda4fe1"),
+    (MINIMAL_PLANE + "driving = force-population\n", "982749b3687f"),
+    (MINIMAL_PLANE + "driving = pressure\n", "cd2d2be37b4b"),
+)
+
+
 def test_render_parse_round_trip():
     cfg = parse_config(
         "[scheme]\nmodel = d2q9\ndriving = pressure\n"
@@ -92,6 +103,11 @@ def test_render_parse_round_trip():
     again = parse_config(render_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+    for text, digest in DEFAULT_SCHEME_HASHES:
+        cfg = parse_config(text)
+        again = parse_config(render_config(cfg))
+        assert again == cfg
+        assert config_hash(cfg) == config_hash(again) == digest, text
 
 
 def test_config_hash_is_short_hex_and_sensitive():
@@ -168,6 +184,18 @@ def test_singular_pressure_predictor_is_a_parse_error():
     )
     assert "scheme.beta" in violation
     assert "alpha + 2 beta - 4 = 0" in violation
+
+
+def test_criterion_violations_name_their_own_key():
+    (violation,) = violations_of(MINIMAL_LINE + "\n[criterion]\ncheck_every = 0\n")
+    assert violation.startswith("<config>:5: criterion.check_every:")
+    (violation,) = violations_of(MINIMAL_LINE, overrides=("criterion.check_every=0",))
+    assert violation.startswith("--override criterion.check_every:")
+    (violation,) = violations_of(
+        MINIMAL_LINE + "\n[criterion]\ntolerance = 1e-12\nmax_steps = 10\n"
+    )
+    assert violation.startswith("<config>:6: criterion.max_steps:")
+    assert "must be >= check_every" in violation
 
 
 def test_half_bracket_is_rejected():

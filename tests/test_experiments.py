@@ -231,6 +231,17 @@ def test_starved_criterion_raises_convergence_error():
     assert excinfo.value.last_change > 0.0
 
 
+def test_diverging_march_stops_at_the_first_non_finite_check():
+    # Line variant b at zeta = 2 is linearly unstable; its field goes
+    # non-finite within about a thousand steps of a 500 000-step budget.
+    exp = D1Q3Experiment(variant="b", n=32, zeta=2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="diverged") as excinfo:
+            run_to_steady(exp)
+    assert excinfo.value.steps <= 2000
+    assert not np.isfinite(excinfo.value.last_change)
+
+
 def test_quiescent_state_converges_at_first_check():
     exp = D1Q3Experiment(variant="a", sigma1=1.0, sigma2=0.125, n=16, source=0.0)
     f, steps = run_to_steady(exp)

@@ -2,8 +2,8 @@
 
 The moment matrices and their hand-coded inverses are the algebraic
 backbone of every scheme, so they get exact oracles here: single
-populations mapped through the basis by hand, round trips at several
-lattice speeds, and literal streaming results on tiny grids where every
+populations mapped through the basis by hand, round trips of
+equilibrium states, and literal streaming results on tiny grids where every
 entry can be traced by hand.
 """
 
@@ -20,6 +20,7 @@ from magiclbm.boundaries import (
     periodic_plane_closures,
     pressure_channel_closures,
 )
+from magiclbm.collision import equilibrium_d1q3
 from magiclbm.errors import ConfigurationError
 from magiclbm.lattice import (
     D1Q3,
@@ -67,26 +68,31 @@ def test_opposite_reverses_velocities(spec):
 
 
 def test_line_basis_a_single_population_oracle():
-    # At lambda = 2 the moving population (0, 1, 0) carries density 1,
-    # flux lambda, and energy lambda^2 / 2.
-    basis = build_d1q3_basis("a", lam=2.0)
+    # The moving population (0, 1, 0) carries density 1, flux 1 and
+    # energy 1/2.
+    basis = build_d1q3_basis("a")
     m = basis.matrix @ np.array([0.0, 1.0, 0.0])
-    assert np.allclose(m, [1.0, 2.0, 2.0], atol=1e-15)
+    assert np.allclose(m, [1.0, 1.0, 0.5], atol=1e-15)
 
 
 def test_line_basis_b_rest_population_oracle():
-    # Variant b weights the rest population -2 lambda^2 in the energy row.
-    basis = build_d1q3_basis("b", lam=1.0)
+    # Variant b weights the rest population -2 in the energy row.
+    basis = build_d1q3_basis("b")
     m = basis.matrix @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(m, [1.0, 0.0, -2.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("variant", ["a", "b"])
-@pytest.mark.parametrize("lam", [1.0, 2.0, 1.0 / 3.0])
-def test_line_basis_round_trip(variant, lam):
-    basis = build_d1q3_basis(variant, lam=lam)
+@pytest.mark.parametrize("zeta", [1.0, 2.0, 1.0 / 3.0])
+def test_line_basis_round_trip(variant, zeta):
+    # The inverse is exact, and an equilibrium state at each energy
+    # coefficient survives the map to populations and back.
+    basis = build_d1q3_basis(variant)
     eye = basis.inverse @ basis.matrix
     assert np.max(np.abs(eye - np.eye(3))) < 1e-13
+    meq = equilibrium_d1q3(variant, np.array([0.5, 1.0, 2.0]), zeta)
+    back = to_moments(basis, from_moments(basis, meq))
+    assert np.max(np.abs(back - meq)) < 1e-13
 
 
 def test_line_basis_rejects_bad_variant():
@@ -95,17 +101,20 @@ def test_line_basis_rejects_bad_variant():
 
 
 def test_line_basis_rejects_bad_speed():
-    with pytest.raises(ValueError):
+    # The line bases are in lattice units: the flux row is the velocity
+    # table itself, and a velocity scale is not a parameter.
+    for variant in ("a", "b"):
+        assert list(build_d1q3_basis(variant).matrix[1]) == list(D1Q3.vx)
+    with pytest.raises(TypeError):
         build_d1q3_basis("a", lam=0.0)
 
 
 @given(
     f=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
-    lam=st.sampled_from([0.5, 1.0, 2.0]),
     variant=st.sampled_from(["a", "b"]),
 )
-def test_line_moment_map_round_trips(f, lam, variant):
-    basis = build_d1q3_basis(variant, lam=lam)
+def test_line_moment_map_round_trips(f, variant):
+    basis = build_d1q3_basis(variant)
     field = np.array(f).reshape(3, 1)
     back = from_moments(basis, to_moments(basis, field))
     assert np.allclose(back, field, rtol=1e-12, atol=1e-10)
