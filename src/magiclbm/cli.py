@@ -64,7 +64,7 @@ _HELP = {
     "poiseuille-force-pop": "population-forced channel flow, wall offsets from the profile",
     "poiseuille-pressure": "pressure-driven channel flow, wall offsets from the profile",
     "sweep": "measure the wall offset over a list of sigma products",
-    "magic-root": "bisect the sigma product until the offset is half a spacing",
+    "magic-root": "find the sigma product where the offset is half a spacing (Brent)",
     "diffusivity": "measure bulk diffusivity from a decaying density wave",
     "viscosity": "measure shear viscosity from a decaying shear wave",
 }

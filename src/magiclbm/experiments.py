@@ -199,27 +199,30 @@ def _channel(exp):
 def _march(run_chunk, f, criterion):
     steps_done = 0
     rel = None
-    while steps_done < criterion.max_steps:
-        chunk = min(criterion.check_every, criterion.max_steps - steps_done)
-        f_new = run_chunk(f, chunk)
-        steps_done += chunk
-        change = float(np.max(np.abs(f_new - f)))
-        scale = float(np.max(np.abs(f_new)))
-        f = f_new
-        if scale == 0.0:
-            if change == 0.0:
+    # A diverging field overflows inside the chunk before the check
+    # below sees it; the ConvergenceError reports that, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps_done < criterion.max_steps:
+            chunk = min(criterion.check_every, criterion.max_steps - steps_done)
+            f_new = run_chunk(f, chunk)
+            steps_done += chunk
+            change = float(np.max(np.abs(f_new - f)))
+            scale = float(np.max(np.abs(f_new)))
+            f = f_new
+            if scale == 0.0:
+                if change == 0.0:
+                    return f, steps_done
+                continue
+            rel = change / scale / chunk
+            if rel < criterion.tolerance:
                 return f, steps_done
-            continue
-        rel = change / scale / chunk
-        if rel < criterion.tolerance:
-            return f, steps_done
-        if not np.isfinite(rel):
-            raise ConvergenceError(
-                f"march diverged: relative change per step {rel} after "
-                f"{steps_done} steps",
-                last_change=rel,
-                steps=steps_done,
-            )
+            if not np.isfinite(rel):
+                raise ConvergenceError(
+                    f"march diverged: relative change per step {rel} after "
+                    f"{steps_done} steps",
+                    last_change=rel,
+                    steps=steps_done,
+                )
     raise ConvergenceError(
         f"no steady state within {criterion.max_steps} steps "
         f"(last relative change per step {rel})",
@@ -441,14 +444,41 @@ def sweep_product(exp, products, extra_factorizations=None, split_check=True):
     )
 
 
+def _interpolated_start(settled, p):
+    """Starting populations for a march at product p.
+
+    The linear interpolation in the product of the settled states at the
+    two products in ``settled`` nearest p (an extrapolation when both lie
+    on one side of it).  The steady state is smooth in the product, so
+    for a product step h the start is off by O(h^2), against O(h) for
+    the nearest state alone.  None, a start from rest, while nothing has
+    settled.
+    """
+    nearest = sorted(settled, key=lambda q: abs(q - p))[:2]
+    if not nearest:
+        return None
+    if len(nearest) == 1:
+        return settled[nearest[0]]
+    p0, p1 = nearest
+    f0 = settled[p0]
+    return f0 + (p - p0) / (p1 - p0) * (settled[p1] - f0)
+
+
 def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
-    """Bisect the sigma product until delta_q crosses half a spacing.
+    """Brent search on the sigma product for delta_q crossing half a spacing.
 
     The objective is delta_q(product) - 1/2; the bracket must straddle
-    its sign change.  Each evaluation is a full march to steady state,
-    warm-started from the previous one.  Returns a MagicSweep whose
-    ``root`` is the refined crossing and whose samples record every
-    evaluation.
+    its sign change.  The search is Brent-Dekker's: inverse quadratic
+    and secant steps inside the sign-change bracket, with a bisection
+    step whenever they would not shrink it fast enough (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).  Each
+    evaluation is a full march to steady state, warm-started from the
+    linear interpolation of the settled states at the two retained
+    products nearest it.  The search stops once the two products on
+    either side of the sign change are at most ``product_tol`` apart,
+    the guarantee bisection gives, and returns a MagicSweep whose
+    ``root`` is the one of the two with the smaller |delta_q - 1/2| and
+    whose samples record every evaluation.
 
     Raises
     ------
@@ -464,54 +494,71 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
         raise ConfigurationError(f"invalid bracket ({lo}, {hi})")
 
     samples = []
-    state = {"warm": None}
+    settled = {}
 
     def objective(p):
         exp_p = _with_product(exp, p)
-        f, _ = run_to_steady(exp_p, init=state["warm"])
-        state["warm"] = f
+        f, _ = run_to_steady(exp_p, init=_interpolated_start(settled, p))
+        settled[p] = f
         dq = wall_offset(exp_p, f).delta_q
         sa, sb = _sigma_pair(exp_p)
         samples.append((sa, sb, p, dq))
         return dq - 0.5
 
-    g_lo = objective(lo)
-    g_hi = objective(hi)
-    evals = 2
-    if g_lo == 0.0:
-        root = lo
-    elif g_hi == 0.0:
-        root = hi
-    elif g_lo * g_hi > 0.0:
+    # b is the best estimate, c the product across the sign change from
+    # b, a the previous b; d is the last step and e the one before it.
+    a, b = lo, hi
+    fa, fb = objective(a), objective(b)
+    if fa * fb > 0.0:
         raise LocalizationError(
             f"no sign change of delta_q - 1/2 across bracket ({lo}, {hi}): "
-            f"endpoint objectives {g_lo:.3e} and {g_hi:.3e}"
+            f"endpoint objectives {fa:.3e} and {fb:.3e}"
         )
-    else:
-        while hi - lo > product_tol:
-            if evals >= max_evals:
-                raise LocalizationError(
-                    f"bracket still {hi - lo:.3e} wide after {evals} evaluations "
-                    f"(budget {max_evals}, tolerance {product_tol})"
-                )
-            mid = 0.5 * (lo + hi)
-            g_mid = objective(mid)
-            evals += 1
-            if g_mid == 0.0:
-                lo = hi = mid
-                break
-            if g_lo * g_mid < 0.0:
-                hi = mid
-                g_hi = g_mid
-            else:
-                lo = mid
-                g_lo = g_mid
-        root = 0.5 * (lo + hi)
+    c, fc = a, fa
+    d = e = b - a
+    least = 0.5 * product_tol  # the smallest step taken
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0 or abs(c - b) <= product_tol:
+            break
+        if len(samples) >= max_evals:
+            raise LocalizationError(
+                f"bracket still {abs(c - b):.3e} wide after {len(samples)} "
+                f"evaluations (budget {max_evals}, tolerance {product_tol})"
+            )
+        m = 0.5 * (c - b)
+        if abs(e) < least or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(least * q), abs(e * q)):
+                e, d = d, p / q
+            else:  # the interpolation step is too long or shrinks too slowly
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > least else (least if m > 0.0 else -least)
+        fb = objective(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        for product in [q for q in settled if q not in (a, b, c)]:
+            del settled[product]
 
     samples.sort(key=lambda row: (row[2], row[0]))
     return MagicSweep(
         samples=tuple(samples),
-        root=float(root),
+        root=float(b),
         prediction=prediction,
         variant=exp.tag,
     )

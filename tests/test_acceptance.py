@@ -10,7 +10,7 @@ test report reads as a one-line pass/fail checklist:
    minute.
 4. The population forced channel recovers 3/16.
 5. Pressure driving recovers the equilibrium-dependent prediction for
-   two parameter sets.
+   two parameter sets on 100 x 21 and six more on 40 x 9.
 6. The wall offset depends on the relaxation rates only through their
    product.
 7. Measured transport coefficients match their closed-form expressions.
@@ -132,6 +132,19 @@ def test_criterion_5_pressure_roots_follow_the_predictor():
         assert sweep.root == pytest.approx(predicted, abs=PRESSURE_TOL)
         print(
             f"criterion 5: alpha={alpha} beta={beta} "
+            f"root={sweep.root:.6f} predicted={predicted:.6f}"
+        )
+    # The half-spacing crossing is exact at any resolution, so a short
+    # channel probes the predictor over more equilibria at small cost.
+    for alpha, beta in (
+        (-1.0, 1.0), (-3.0, 1.0), (-2.0, 0.0), (-2.0, 2.0), (0.0, 0.0), (-1.0, -1.0)
+    ):
+        exp = D2Q9Experiment(driving="pressure", nx=40, ny=9, alpha=alpha, beta=beta)
+        sweep = find_magic_root(exp)
+        predicted = predict_magic("pressure", alpha, beta)
+        assert sweep.root == pytest.approx(predicted, abs=PRESSURE_TOL)
+        print(
+            f"criterion 5: alpha={alpha} beta={beta} on 40 x 9 "
             f"root={sweep.root:.6f} predicted={predicted:.6f}"
         )
 

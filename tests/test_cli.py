@@ -2,8 +2,8 @@
 
 Each command is driven in process through ``main`` with small grids, and
 the emitted CSV tables are parsed back to check both the numbers and the
-serialization contract.  One subprocess check makes sure the module
-entry point stays wired up.
+serialization contract.  Subprocess checks make sure the module entry
+point stays wired up and that a root search never imports scipy.
 """
 
 import subprocess
@@ -183,6 +183,28 @@ def test_magic_root_command(tmp_path):
     assert int(meta["evaluations"]) == len(rows)
     assert float(meta["bracket_lo"]) == 0.05
     assert (tmp_path / "magic-root.plot").exists()
+
+
+def test_magic_root_command_does_not_import_scipy(tmp_path):
+    # scipy.optimize alone would more than double the peak memory of a
+    # root search; the search is written out in experiments instead.
+    config = tmp_path / "root.ini"
+    config.write_text(
+        "[scheme]\nmodel = d1q3\n\n[grid]\nn = 16\n\n"
+        "[root]\nbracket_lo = 0.05\nbracket_hi = 0.3\n"
+    )
+    code = (
+        "import sys\n"
+        "from magiclbm.cli import main\n"
+        f"assert main(['magic-root', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "magic-root.csv").exists()
 
 
 def test_single_run_commands_do_not_emit_plots(tmp_path):

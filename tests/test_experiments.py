@@ -8,6 +8,8 @@ profile on sixteen nodes, frozen below.
 """
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,8 +236,11 @@ def test_starved_criterion_raises_convergence_error():
 def test_diverging_march_stops_at_the_first_non_finite_check():
     # Line variant b at zeta = 2 is linearly unstable; its field goes
     # non-finite within about a thousand steps of a 500 000-step budget.
+    # The march reports that as a ConvergenceError, with no numpy
+    # overflow warning on the way.
     exp = D1Q3Experiment(variant="b", n=32, zeta=2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="diverged") as excinfo:
             run_to_steady(exp)
     assert excinfo.value.steps <= 2000
@@ -363,6 +368,52 @@ def test_root_find_respects_evaluation_budget():
     exp = D1Q3Experiment(variant="a", sigma1=1.0, sigma2=0.125, **LINE)
     with pytest.raises(LocalizationError, match="budget"):
         find_magic_root(exp, bracket=(0.05, 0.3), product_tol=1e-9, max_evals=5)
+
+
+# The benchmark's four root searches: the factor held fixed at 2, the
+# default bracket (half to twice the prediction), the default tolerance.
+ROOT_SEARCHES = {
+    "line-a": D1Q3Experiment(variant="a", n=32, sigma1=2.0),
+    "line-b": D1Q3Experiment(variant="b", n=32, sigma1=2.0),
+    "split-half": D2Q9Experiment(driving="force-split-half", nx=100, ny=7, sigma8=2.0),
+    "pressure": D2Q9Experiment(driving="pressure", nx=40, ny=9, sigma8=2.0),
+}
+PRODUCT_TOL = 1e-5
+
+
+@pytest.fixture(scope="module", params=sorted(ROOT_SEARCHES))
+def root_search(request):
+    exp = ROOT_SEARCHES[request.param]
+    return exp, find_magic_root(exp, product_tol=PRODUCT_TOL)
+
+
+def test_root_search_takes_few_evaluations(root_search):
+    _, sweep = root_search
+    assert len(sweep.samples) <= 8
+
+
+def test_root_search_ends_on_a_narrow_sign_change(root_search):
+    _, sweep = root_search
+    objective = {row[2]: row[3] - 0.5 for row in sweep.samples}
+    at_root = objective[sweep.root]
+    across = [
+        p for p, g in objective.items()
+        if g * at_root < 0.0 and abs(p - sweep.root) <= PRODUCT_TOL
+    ]
+    assert across
+
+
+def test_root_search_samples_match_cold_starts(root_search):
+    # Warm starts only save steps: each sample's offset is the one a
+    # march from rest gives at the same factors.
+    exp, sweep = root_search
+    names = ("sigma1", "sigma2")
+    if isinstance(exp, D2Q9Experiment):
+        names = ("sigma5", "sigma8")
+    for sigma_a, sigma_b, _, delta_q in sweep.samples:
+        cold = replace(exp, **dict(zip(names, (sigma_a, sigma_b))))
+        f, _ = run_to_steady(cold)
+        assert wall_offset(cold, f).delta_q == pytest.approx(delta_q, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
