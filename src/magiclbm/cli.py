@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 
-from . import bench, results
+from . import results
 from .collision import diffusivity_from_params
 from .config import _apply_overrides, _read_document, build_experiment, config_hash
 from .config import parse_config, predicted_product
@@ -46,38 +46,15 @@ from .fitting import fit_parabola, wall_location
 
 __all__ = ["main"]
 
-# Scheme implied by each command: (model, driving); None means "not implied".
-_EXPECT = {
-    "poisson-1d": ("d1q3", None),
-    "poiseuille-force": ("d2q9", "force-split-half"),
-    "poiseuille-force-pop": ("d2q9", "force-population"),
-    "poiseuille-pressure": ("d2q9", "pressure"),
-    "sweep": (None, None),
-    "magic-root": (None, None),
-    "diffusivity": ("d1q3", None),
-    "viscosity": ("d2q9", None),
-}
-
-_HELP = {
-    "poisson-1d": "march the source-driven line scheme and locate both walls",
-    "poiseuille-force": "split-half forced channel flow, wall offsets from the profile",
-    "poiseuille-force-pop": "population-forced channel flow, wall offsets from the profile",
-    "poiseuille-pressure": "pressure-driven channel flow, wall offsets from the profile",
-    "sweep": "measure the wall offset over a list of sigma products",
-    "magic-root": "find the sigma product where the offset is half a spacing (Brent)",
-    "diffusivity": "measure bulk diffusivity from a decaying density wave",
-    "viscosity": "measure shear viscosity from a decaying shear wave",
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="magiclbm",
         description="Lattice Boltzmann experiments locating magic relaxation products.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _EXPECT:
-        cmd = sub.add_parser(name, help=_HELP[name])
+    for name, model, driving, help_text, handler in _COMMANDS:
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(implied=(model, driving), handler=handler)
         cmd.add_argument("--config", metavar="PATH", help="INI configuration file")
         cmd.add_argument(
             "--out", metavar="DIR", help="output directory (default from config, else .)"
@@ -89,15 +66,6 @@ def build_parser():
             default=[],
             help="patch one configuration value; repeatable, later flags win",
         )
-    bench_cmd = sub.add_parser(
-        "bench",
-        help="time the fused channel kernel (steps/s, MLUPS) and report its "
-        "deviation from the composed reference step",
-    )
-    bench_cmd.add_argument("--nx", type=int, default=100)
-    bench_cmd.add_argument("--ny", type=int, default=21)
-    bench_cmd.add_argument("--steps", type=int, default=1000)
-    bench_cmd.add_argument("--warmup", type=int, default=100)
     return parser
 
 
@@ -117,7 +85,7 @@ def _inspect_scheme(text, overrides):
 
 
 def _load_config(args):
-    expected_model, expected_driving = _EXPECT[args.command]
+    expected_model, expected_driving = args.implied
     overrides = list(args.override)
     if args.config is not None:
         try:
@@ -342,29 +310,43 @@ def _cmd_viscosity(cfg):
     return results.ResultTable(columns, rows, tuple(meta)), None
 
 
-_COMMANDS = {
-    "poisson-1d": _cmd_poisson_1d,
-    "poiseuille-force": _cmd_poiseuille,
-    "poiseuille-force-pop": _cmd_poiseuille,
-    "poiseuille-pressure": _cmd_poiseuille,
-    "sweep": _cmd_sweep,
-    "magic-root": _cmd_magic_root,
-    "diffusivity": _cmd_diffusivity,
-    "viscosity": _cmd_viscosity,
-}
+# One row per subcommand, in help order: (name, implied model, implied
+# driving, help, handler); None means that part of the scheme is not
+# implied by the command.
+_COMMANDS = (
+    ("poisson-1d", "d1q3", None,
+     "march the source-driven line scheme and locate both walls",
+     _cmd_poisson_1d),
+    ("poiseuille-force", "d2q9", "force-split-half",
+     "split-half forced channel flow, wall offsets from the profile",
+     _cmd_poiseuille),
+    ("poiseuille-force-pop", "d2q9", "force-population",
+     "population-forced channel flow, wall offsets from the profile",
+     _cmd_poiseuille),
+    ("poiseuille-pressure", "d2q9", "pressure",
+     "pressure-driven channel flow, wall offsets from the profile",
+     _cmd_poiseuille),
+    ("sweep", None, None,
+     "measure the wall offset over a list of sigma products",
+     _cmd_sweep),
+    ("magic-root", None, None,
+     "find the sigma product where the offset is half a spacing (Brent)",
+     _cmd_magic_root),
+    ("diffusivity", "d1q3", None,
+     "measure bulk diffusivity from a decaying density wave",
+     _cmd_diffusivity),
+    ("viscosity", "d2q9", None,
+     "measure shear viscosity from a decaying shear wave",
+     _cmd_viscosity),
+)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bench":
-            report = bench.run_benchmark(args.nx, args.ny, args.steps, args.warmup)
-            for line in bench.format_report(report):
-                print(line)
-            return 0
         cfg = _load_config(args)
-        table, figure = _COMMANDS[args.command](cfg)
+        table, figure = args.handler(cfg)
         out_dir = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         csv_path = os.path.join(out_dir, args.command + ".csv")

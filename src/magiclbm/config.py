@@ -35,6 +35,7 @@ from .experiments import (
     D2Q9Experiment,
     DRIVING_TAGS,
     SteadyStateCriterion,
+    _default_zeta,
     predicted_product,
 )
 
@@ -181,7 +182,7 @@ _TABLE = (
     ("scheme", "variant", "variant", _LINE, ("a", "b"), "a", None),
     ("scheme", "driving", "driving", _PLANE, DRIVING_TAGS, "force-split-half", None),
     ("scheme", "zeta", "zeta", _LINE, float,
-     lambda v: 1.0 / 3.0 if v["variant"] == "a" else 1.0, _POSITIVE),
+     lambda v: _default_zeta(v["variant"]), _POSITIVE),
     ("scheme", "alpha", "alpha", _PLANE, float, -2.0, None),
     ("scheme", "beta", "beta", _PLANE, float, 1.0, None),
     ("grid", "n", "n", _LINE, int, 32, 5),

@@ -89,13 +89,20 @@ class SteadyStateCriterion:
             raise ConfigurationError("invalid steady-state criterion", problems)
 
 
+def _default_zeta(variant):
+    """The line's second-moment equilibrium coefficient when none is given.
+
+    1/3 for basis variant "a" (kappa = sigma1 / 3), 1 for "b" (kappa = sigma1).
+    """
+    return 1.0 / 3.0 if variant == "a" else 1.0
+
+
 @dataclass(frozen=True)
 class D1Q3Experiment:
     """Source-driven diffusion on a line with both ends pinned to zero.
 
     ``zeta`` is the second-moment equilibrium coefficient; when None it
-    defaults per basis variant (1/3 for "a", 1.0 for "b"), which makes
-    the two variants share the same bulk diffusivity at equal sigma1.
+    takes the variant's default (``_default_zeta``).
     """
 
     variant: str = "a"
@@ -114,7 +121,7 @@ class D1Q3Experiment:
         if self.n < 5:
             raise ConfigurationError(f"grid size n must be >= 5, got {self.n}")
         if self.zeta is None:
-            object.__setattr__(self, "zeta", 1.0 / 3.0 if self.variant == "a" else 1.0)
+            object.__setattr__(self, "zeta", _default_zeta(self.variant))
 
     @property
     def diffusivity(self):
@@ -348,10 +355,19 @@ def _with_product(exp, product, pair=None):
     return replace(exp, sigma5=sa, sigma8=sb)
 
 
-def _sigma_pair(exp):
-    if isinstance(exp, D1Q3Experiment):
-        return exp.sigma1, exp.sigma2
-    return exp.sigma5, exp.sigma8
+def _sample(exp, product, pair=None, init=None):
+    """March ``exp`` at a product to steady state and read its wall offset.
+
+    Returns the settled populations and the sample row (sigma_a,
+    sigma_b, product, delta_q).  ``pair`` is as in ``_with_product``,
+    ``init`` as in ``run_to_steady``.
+    """
+    exp_p = _with_product(exp, product, pair=pair)
+    f, _ = run_to_steady(exp_p, init=init)
+    dq = wall_offset(exp_p, f).delta_q
+    if isinstance(exp_p, D1Q3Experiment):
+        return f, (exp_p.sigma1, exp_p.sigma2, product, dq)
+    return f, (exp_p.sigma5, exp_p.sigma8, product, dq)
 
 
 def predict_magic(variant, alpha=None, beta=None):
@@ -415,25 +431,16 @@ def sweep_product(exp, products, extra_factorizations=None, split_check=True):
     samples = []
     warm = None
     for p in products:
-        exp_p = _with_product(exp, p)
-        f, _ = run_to_steady(exp_p, init=warm)
-        warm = f
-        dq = wall_offset(exp_p, f).delta_q
-        sa, sb = _sigma_pair(exp_p)
-        samples.append((sa, sb, p, dq))
+        warm, row = _sample(exp, p, init=warm)
+        samples.append(row)
 
     pairs = list(extra_factorizations or [])
     if split_check:
-        mid = products[len(products) // 2]
-        base = _with_product(exp, mid)
-        sa, sb = _sigma_pair(base)
+        sa, sb = samples[len(products) // 2][:2]
         pairs.append((sb, sa))
     for pair in pairs:
         p = float(pair[0]) * float(pair[1])
-        exp_p = _with_product(exp, p, pair=pair)
-        f, _ = run_to_steady(exp_p, init=warm)
-        dq = wall_offset(exp_p, f).delta_q
-        samples.append((float(pair[0]), float(pair[1]), p, dq))
+        samples.append(_sample(exp, p, pair=pair, init=warm)[1])
 
     samples.sort(key=lambda row: (row[2], row[0]))
     return MagicSweep(
@@ -497,13 +504,9 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
     settled = {}
 
     def objective(p):
-        exp_p = _with_product(exp, p)
-        f, _ = run_to_steady(exp_p, init=_interpolated_start(settled, p))
-        settled[p] = f
-        dq = wall_offset(exp_p, f).delta_q
-        sa, sb = _sigma_pair(exp_p)
-        samples.append((sa, sb, p, dq))
-        return dq - 0.5
+        settled[p], row = _sample(exp, p, init=_interpolated_start(settled, p))
+        samples.append(row)
+        return row[3] - 0.5
 
     # b is the best estimate, c the product across the sign change from
     # b, a the previous b; d is the last step and e the one before it.
@@ -581,6 +584,49 @@ def _decay_rate(amplitudes, skip, floor=1e-12, min_samples=10):
     return -float(slope)
 
 
+def _wave_amplitudes(kernel, args, start, shape, mode, steps, amplitude):
+    """Projection amplitudes of a periodic wave over one observed march.
+
+    The wave sin(k x), k = 2 pi mode / shape[-1], runs along the last
+    axis of ``shape`` and is tiled over the others; ``start(wave)`` gives
+    its equilibrium populations.  One ``kernel(f, steps, *args)`` call
+    marches them, and ``amplitude(proj, f)``, with the projection ``proj
+    = 2 wave / wave.size``, is read before the first step and after each
+    one.  Returns k and the ``steps + 1`` amplitudes.
+    """
+    n = shape[-1]
+    k = 2.0 * np.pi * mode / n
+    wave = np.tile(np.sin(k * np.arange(n, dtype=np.float64)), shape[:-1] + (1,))
+    proj = 2.0 / wave.size * wave
+    f = start(wave)
+    amps = [amplitude(proj, f)]
+    kernel(f, steps, *args, observe=lambda g: amps.append(amplitude(proj, g)))
+    return k, np.array(amps)
+
+
+def _plane_wave_amplitudes(
+    moment, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps
+):
+    """``_wave_amplitudes`` on the fully periodic plane.
+
+    The wave is in the density (``moment`` 0) or in the transverse
+    momentum jy (``moment`` 2).
+    """
+    basis = build_d2q9_basis()
+
+    def start(wave):
+        rho_jx_jy = [np.zeros_like(wave)] * 3
+        rho_jx_jy[moment] = wave
+        return from_moments(basis, equilibrium_d2q9(*rho_jx_jy, alpha, beta))
+
+    closures = boundaries.periodic_plane_closures()
+    settings = relaxation_d2q9(sigma5, sigma8, s_bulk)
+    return _wave_amplitudes(
+        kernels.d2q9_run, (closures, settings, alpha, beta), start, (ny, nx),
+        mode, steps, amplitude,
+    )
+
+
 def measure_diffusivity(
     variant, sigma1, sigma2, zeta=None, n=64, mode=1, steps=2000, skip=200
 ):
@@ -593,19 +639,15 @@ def measure_diffusivity(
     transient.
     """
     exp = D1Q3Experiment(variant=variant, n=n, sigma1=sigma1, sigma2=sigma2, zeta=zeta)
+    basis = build_d1q3_basis(exp.variant)
     closures = boundaries.periodic_line_closures()
     settings = relaxation_d1q3(sigma1, sigma2)
-    x = np.arange(n, dtype=np.float64)
-    k = 2.0 * np.pi * mode / n
-    wave = np.sin(k * x)
-    basis = build_d1q3_basis(exp.variant)
-    f = from_moments(basis, equilibrium_d1q3(exp.variant, wave, exp.zeta))
-    proj = 2.0 / n * wave
-    amps = np.empty(steps + 1)
-    amps[0] = proj @ (f[0] + f[1] + f[2])
-    for t in range(1, steps + 1):
-        f = kernels.d1q3_run(f, 1, closures, settings, exp.variant, exp.zeta)
-        amps[t] = proj @ (f[0] + f[1] + f[2])
+    k, amps = _wave_amplitudes(
+        kernels.d1q3_run, (closures, settings, exp.variant, exp.zeta),
+        lambda wave: from_moments(basis, equilibrium_d1q3(exp.variant, wave, exp.zeta)),
+        (n,), mode, steps,
+        lambda proj, f: proj @ (f[0] + f[1] + f[2]),
+    )
     return _decay_rate(amps, skip) / (k * k)
 
 
@@ -627,25 +669,14 @@ def measure_viscosity(
     like exp(-nu k^2 t); nu comes from a log-linear fit of the
     projection amplitude.
     """
-    closures = boundaries.periodic_plane_closures()
-    settings = relaxation_d2q9(sigma5, sigma8, s_bulk)
-    x = np.arange(nx, dtype=np.float64)
-    k = 2.0 * np.pi * mode / nx
-    wave = np.sin(k * x)
-    jy = np.tile(wave, (ny, 1))
-    zero = np.zeros_like(jy)
-    f = from_moments(build_d2q9_basis(), equilibrium_d2q9(zero, zero, jy, alpha, beta))
-    proj = 2.0 / (nx * ny) * np.tile(wave, (ny, 1))
 
-    def amplitude(f):
-        jy_field = (f[2] + f[5] + f[6]) - (f[4] + f[7] + f[8])
-        return float(np.sum(proj * jy_field))
+    def amplitude(proj, f):
+        jy = (f[2] + f[5] + f[6]) - (f[4] + f[7] + f[8])
+        return float(np.sum(proj * jy))
 
-    amps = np.empty(steps + 1)
-    amps[0] = amplitude(f)
-    for t in range(1, steps + 1):
-        f = kernels.d2q9_run(f, 1, closures, settings, alpha, beta)
-        amps[t] = amplitude(f)
+    k, amps = _plane_wave_amplitudes(
+        2, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps
+    )
     return _decay_rate(amps, skip) / (k * k)
 
 
@@ -668,21 +699,10 @@ def measure_sound_speed(
     returned.  Validates the squared-sound-speed convention
     (4 + alpha) / 6 used to convert pressure drops to density offsets.
     """
-    closures = boundaries.periodic_plane_closures()
-    settings = relaxation_d2q9(sigma5, sigma8, s_bulk)
-    x = np.arange(nx, dtype=np.float64)
-    k = 2.0 * np.pi * mode / nx
-    wave = np.sin(k * x)
-    rho = np.tile(wave, (ny, 1))
-    zero = np.zeros_like(rho)
-    f = from_moments(build_d2q9_basis(), equilibrium_d2q9(rho, zero, zero, alpha, beta))
-    proj = 2.0 / (nx * ny) * np.tile(wave, (ny, 1))
-
-    amps = np.empty(steps + 1)
-    amps[0] = float(np.sum(proj * (f.sum(axis=0))))
-    for t in range(1, steps + 1):
-        f = kernels.d2q9_run(f, 1, closures, settings, alpha, beta)
-        amps[t] = float(np.sum(proj * (f.sum(axis=0))))
+    k, amps = _plane_wave_amplitudes(
+        0, lambda proj, f: float(np.sum(proj * f.sum(axis=0))),
+        sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps,
+    )
 
     crossings = []
     for t in range(steps):

@@ -84,35 +84,42 @@ def _stream_map(spec, shape, closures, alpha, beta):
     return _frozen(idx), (_frozen(b) if b.any() else None)
 
 
-def _march(f, steps, kc, idx, b):
+def _march(f, steps, kc, idx, b, observe):
     f, q = np.asarray(f, dtype=np.float64), kc.shape[1] - 1
     state = np.ones((q + 1, f.size // q))
     state[:q] = f.reshape(q, -1)
     post = np.empty((2 * q, state.shape[1]))
     flat = state[:q].reshape(-1)
+    view = state[:q].reshape(f.shape)
     for _ in range(steps):
         np.matmul(kc, state, out=post)
         np.take(post.reshape(-1), idx, out=flat, mode="clip")
         if b is not None:
             flat += b
-    return state[:q].reshape(f.shape)
+        if observe is not None:
+            observe(view)
+    return view
 
 
-def d1q3_run(f, steps, closures, settings, variant, zeta, source=0.0):
+def d1q3_run(f, steps, closures, settings, variant, zeta, source=0.0, *, observe=None):
     """March the line scheme ``steps`` cycles; the (3, n) ``f`` is not modified.
 
     ``closures`` is the tuple of left and right ``BoundaryClosure``
     (periodic or anti-bounce-back), ``settings`` the line rates,
     ``variant`` the moment basis ("a" or "b") and ``zeta`` its energy
     equilibrium coefficient.  ``source`` is the per-step density source,
-    added in two halves.
+    added in two halves.  ``observe``, when given, is called after each
+    step with the current populations, a view it must neither keep nor
+    modify.
     """
     operator = _line_operator(variant, float(zeta), settings.s, float(source))
     idx, b = _stream_map(D1Q3, np.shape(f), closures, None, None)
-    return _march(f, int(steps), operator, idx, b)
+    return _march(f, int(steps), operator, idx, b, observe)
 
 
-def d2q9_run(f, steps, closures, settings, alpha, beta, driving=None, fx=0.0):
+def d2q9_run(
+    f, steps, closures, settings, alpha, beta, driving=None, fx=0.0, *, observe=None
+):
     """March the plane scheme ``steps`` cycles; the (9, ny, nx) ``f`` is not modified.
 
     ``closures`` is the tuple of west, east, south and north
@@ -120,9 +127,9 @@ def d2q9_run(f, steps, closures, settings, alpha, beta, driving=None, fx=0.0):
     density offset.  ``settings`` holds the nine rates, ``alpha, beta``
     the energy-row equilibrium coefficients.  ``driving`` says how the
     body force ``fx`` enters: "force-split-half", "force-population",
-    or None for no force.
+    or None for no force.  ``observe`` is called as in ``d1q3_run``.
     """
     alpha, beta = float(alpha), float(beta)
     operator = _plane_operator(settings.s, alpha, beta, driving, float(fx))
     idx, b = _stream_map(D2Q9, np.shape(f), closures, alpha, beta)
-    return _march(f, int(steps), operator, idx, b)
+    return _march(f, int(steps), operator, idx, b, observe)

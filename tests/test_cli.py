@@ -6,6 +6,8 @@ serialization contract.  Subprocess checks make sure the module entry
 point stays wired up and that a root search never imports scipy.
 """
 
+import argparse
+import pathlib
 import subprocess
 import sys
 
@@ -293,20 +295,8 @@ def test_missed_bracket_exits_4(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Benchmark and wiring
+# Wiring
 # ---------------------------------------------------------------------------
-
-
-def test_bench_reports_rate_and_reference_deviation(capsys):
-    rc = main(["bench", "--nx", "16", "--ny", "8", "--steps", "40", "--warmup", "5"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "steps/s" in out and "MLUPS" in out
-    line = next(
-        line for line in out.splitlines()
-        if "deviation from the composed reference step" in line
-    )
-    assert float(line.rsplit(":", 1)[1]) < 1e-15
 
 
 def test_parser_lists_all_commands():
@@ -315,9 +305,20 @@ def test_parser_lists_all_commands():
     for command in (
         "poisson-1d", "poiseuille-force", "poiseuille-force-pop",
         "poiseuille-pressure", "sweep", "magic-root", "diffusivity",
-        "viscosity", "bench",
+        "viscosity",
     ):
         assert command in text
+
+
+def test_readme_command_block_lists_exactly_the_parser_commands():
+    # A removed or renamed subcommand must not linger in the docs.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.strip()}
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == set(sub.choices)
 
 
 def test_module_entry_point_runs():

@@ -20,8 +20,14 @@ from magiclbm.errors import (
     LocalizationError,
     MeasurementError,
 )
-from magiclbm import kernels
-from magiclbm.collision import diffusivity_from_params
+from magiclbm import boundaries, kernels
+from magiclbm.collision import (
+    diffusivity_from_params,
+    equilibrium_d1q3,
+    equilibrium_d2q9,
+    relaxation_d1q3,
+    relaxation_d2q9,
+)
 from magiclbm.experiments import (
     DRIVING_TAGS,
     D1Q3Experiment,
@@ -41,6 +47,8 @@ from magiclbm.experiments import (
     velocity_profile,
     wall_offset,
 )
+from magiclbm.experiments import _decay_rate
+from magiclbm.lattice import build_d1q3_basis, build_d2q9_basis, from_moments
 
 # Small-grid stand-ins for the production channels.
 LINE = dict(n=16)
@@ -289,8 +297,8 @@ def test_kernel_calls_go_through_the_module_with_f_and_steps_first(monkeypatch):
     measure_viscosity(0.375, 1.0, nx=8, ny=4, steps=20, skip=2)
 
     names = [name for name, _ in calls]
-    assert names.count("d1q3_run") == 1 + 20
-    assert names.count("d2q9_run") == len(DRIVING_TAGS) + 20
+    assert names.count("d1q3_run") == 1 + 1
+    assert names.count("d2q9_run") == len(DRIVING_TAGS) + 1
     for _, args in calls:
         assert isinstance(args[0], np.ndarray)
         assert type(args[1]) is int
@@ -449,6 +457,92 @@ def test_measured_viscosity_matches_formula():
 def test_measured_sound_speed_matches_convention():
     c = measure_sound_speed(alpha=-2.0, beta=1.0)
     assert c == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-2)
+
+
+# The one-step loops the measurements ran before they became one observed
+# march each: a kernel call per step, the amplitude read after every call.
+
+
+def _one_step_diffusivity(variant, sigma1, sigma2, zeta, n, mode, steps, skip):
+    closures = boundaries.periodic_line_closures()
+    settings = relaxation_d1q3(sigma1, sigma2)
+    x = np.arange(n, dtype=np.float64)
+    k = 2.0 * np.pi * mode / n
+    wave = np.sin(k * x)
+    f = from_moments(build_d1q3_basis(variant), equilibrium_d1q3(variant, wave, zeta))
+    proj = 2.0 / n * wave
+    amps = np.empty(steps + 1)
+    amps[0] = proj @ (f[0] + f[1] + f[2])
+    for t in range(1, steps + 1):
+        f = kernels.d1q3_run(f, 1, closures, settings, variant, zeta)
+        amps[t] = proj @ (f[0] + f[1] + f[2])
+    return _decay_rate(amps, skip) / (k * k)
+
+
+def _one_step_plane_amplitudes(
+    moment, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps
+):
+    closures = boundaries.periodic_plane_closures()
+    settings = relaxation_d2q9(sigma5, sigma8, s_bulk)
+    x = np.arange(nx, dtype=np.float64)
+    k = 2.0 * np.pi * mode / nx
+    wave = np.sin(k * x)
+    fields = [np.zeros((ny, nx))] * 3
+    fields[moment] = np.tile(wave, (ny, 1))
+    f = from_moments(build_d2q9_basis(), equilibrium_d2q9(*fields, alpha, beta))
+    proj = 2.0 / (nx * ny) * np.tile(wave, (ny, 1))
+    amps = np.empty(steps + 1)
+    amps[0] = amplitude(proj, f)
+    for t in range(1, steps + 1):
+        f = kernels.d2q9_run(f, 1, closures, settings, alpha, beta)
+        amps[t] = amplitude(proj, f)
+    return k, amps
+
+
+def _one_step_viscosity(sigma5, sigma8, alpha, beta, s_bulk, nx, ny, mode, steps, skip):
+    def amplitude(proj, f):
+        jy = (f[2] + f[5] + f[6]) - (f[4] + f[7] + f[8])
+        return float(np.sum(proj * jy))
+
+    k, amps = _one_step_plane_amplitudes(
+        2, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps
+    )
+    return _decay_rate(amps, skip) / (k * k)
+
+
+def _one_step_sound_speed(alpha, beta, sigma5, sigma8, s_bulk, nx, ny, mode, steps):
+    k, amps = _one_step_plane_amplitudes(
+        0, lambda proj, f: float(np.sum(proj * (f.sum(axis=0)))),
+        sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps,
+    )
+    crossings = []
+    for t in range(steps):
+        a, b = amps[t], amps[t + 1]
+        if a == 0.0 or a * b >= 0.0 or max(abs(a), abs(b)) < 1e-10:
+            continue
+        crossings.append(t + a / (a - b))
+    omega = np.pi * (len(crossings) - 1) / (crossings[-1] - crossings[0])
+    return float(omega / k)
+
+
+@pytest.mark.parametrize("variant, zeta", [("a", 1.0 / 3.0), ("b", 1.0), ("b", 0.6)])
+def test_diffusivity_equals_the_one_step_loop(variant, zeta):
+    args = dict(n=32, mode=1, steps=300, skip=30)
+    got = measure_diffusivity(variant, 0.8, 0.3, zeta=zeta, **args)
+    assert got == _one_step_diffusivity(variant, 0.8, 0.3, zeta, **args)
+
+
+@pytest.mark.parametrize("alpha, beta", [(-2.0, 1.0), (-2.5, 2.5)])
+def test_viscosity_equals_the_one_step_loop(alpha, beta):
+    args = dict(s_bulk=1.3, nx=16, ny=3, mode=1, steps=300, skip=30)
+    got = measure_viscosity(0.4, 0.9, alpha=alpha, beta=beta, **args)
+    assert got == _one_step_viscosity(0.4, 0.9, alpha, beta, **args)
+
+
+def test_sound_speed_equals_the_one_step_loop():
+    args = dict(sigma5=0.6, sigma8=0.9, s_bulk=1.2, nx=16, ny=3, mode=1, steps=400)
+    got = measure_sound_speed(alpha=-1.0, beta=0.5, **args)
+    assert got == _one_step_sound_speed(-1.0, 0.5, **args)
 
 
 def test_exhausted_mode_raises_measurement_error():

@@ -157,9 +157,11 @@ STEPS = 64
 MARCH_ATOL = STEPS * 16 * np.finfo(np.float64).eps
 
 
-def _line_call(f, steps, variant, sigma1, sigma2, closures):
+def _line_call(f, steps, variant, sigma1, sigma2, closures, observe=None):
     settings = relaxation_d1q3(sigma1, sigma2)
-    return d1q3_run(f, steps, closures, settings, variant, ZETA[variant], 1e-6)
+    return d1q3_run(
+        f, steps, closures, settings, variant, ZETA[variant], 1e-6, observe=observe
+    )
 
 
 def _line_reference(f, steps, variant, sigma1, sigma2, closures):
@@ -170,9 +172,11 @@ def _line_reference(f, steps, variant, sigma1, sigma2, closures):
     return f
 
 
-def _plane_call(f, steps, sigma5, sigma8, closures, driving):
+def _plane_call(f, steps, sigma5, sigma8, closures, driving, observe=None):
     settings = relaxation_d2q9(sigma5, sigma8)
-    return d2q9_run(f, steps, closures, settings, -2.0, 1.0, driving, 2e-6)
+    return d2q9_run(
+        f, steps, closures, settings, -2.0, 1.0, driving, 2e-6, observe=observe
+    )
 
 
 def _plane_reference(f, steps, sigma5, sigma8, closures, driving):
@@ -267,6 +271,46 @@ def test_plane_march_is_additive():
     whole = d2q9_run(f, 10, *args)
     split = d2q9_run(d2q9_run(f, 7, *args), 3, *args)
     assert np.array_equal(whole, split)
+
+
+OBSERVED_CASES = {
+    "line-anti-bounce-back": (
+        (3, 10),
+        lambda f, n, **kw: _line_call(f, n, "b", 0.9, 0.2, diffusion_closures(), **kw),
+    ),
+    "plane-split-half": (
+        (9, 5, 7),
+        lambda f, n, **kw: _plane_call(
+            f, n, 0.3, 1.1, force_channel_closures(), "force-split-half", **kw
+        ),
+    ),
+    "plane-pressure": (
+        (9, 5, 7),
+        lambda f, n, **kw: _plane_call(
+            f, n, 0.3, 1.1, pressure_channel_closures(3e-6), None, **kw
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OBSERVED_CASES))
+def test_observed_march_equals_chained_one_step_calls(case):
+    # The observer sees each of the n states once, bitwise the state the
+    # chained one-step calls reach, and the march ends on the last one.
+    shape, run = OBSERVED_CASES[case]
+    f = np.random.default_rng(64).normal(size=shape)
+    seen = []
+    got = run(f, 12, observe=lambda view: seen.append(view.copy()))
+    assert len(seen) == 12
+    chained = f
+    for state in seen:
+        chained = run(chained, 1)
+        assert np.array_equal(state, chained)
+    assert np.array_equal(got, chained)
+    assert np.array_equal(run(f, 12), got)
+    calls = []
+    assert np.array_equal(run(f, 0, observe=calls.append), f)
+    assert calls == []
 
 
 def test_kernel_does_not_modify_input():
