@@ -6,10 +6,10 @@ configuration (see config.py), optionally patched by repeatable
 output directory; the sweep and root-finding commands also write a
 companion <command>.plot script that redraws the sweep figure.
 
-Exit codes: 0 success, 2 invalid configuration or usage, 3 a march
-diverged or ran out of steps before settling, 4 a settled result could
-not be reduced (wall not localized, degenerate fit, or measurement
-signal exhausted).
+Exit codes: 0 success, 2 invalid configuration or usage (an output that
+cannot be written included), 3 a march diverged or ran out of steps
+before settling, 4 a settled result could not be reduced (wall not
+localized, degenerate fit, or measurement signal exhausted).
 
 Single-run commands imply their scheme (for example poiseuille-pressure
 implies model d2q9 with pressure driving), so they work without a
@@ -21,11 +21,11 @@ from the configuration.
 import argparse
 import os
 import sys
+from typing import NamedTuple
 
 from . import results
 from .collision import diffusivity_from_params
-from .config import _apply_overrides, _read_document, build_experiment, config_hash
-from .config import parse_config, predicted_product
+from .config import build_experiment, config_hash, parse_config, predicted_product
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -69,24 +69,7 @@ def build_parser():
     return parser
 
 
-def _inspect_scheme(text, overrides):
-    """Best-effort read of scheme.model / scheme.driving before validation.
-
-    A document that does not read is left to parse_config, which reports
-    it with its location.
-    """
-    try:
-        raw = _read_document(text, "<config>")
-    except ConfigurationError:
-        raw = {}
-    _apply_overrides(raw, {}, overrides)
-    scheme = raw.get("scheme", {})
-    return scheme.get("model"), scheme.get("driving")
-
-
 def _load_config(args):
-    expected_model, expected_driving = args.implied
-    overrides = list(args.override)
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -96,109 +79,96 @@ def _load_config(args):
                 f"cannot read configuration {args.config!r}: {exc}"
             ) from None
         source = args.config
+    elif args.implied[0] is None:
+        raise ConfigurationError(
+            f"{args.command} needs --config: the scheme is not implied "
+            "by the command name"
+        )
     else:
-        if expected_model is None:
-            raise ConfigurationError(
-                f"{args.command} needs --config: the scheme is not implied "
-                "by the command name"
-            )
-        text = f"[scheme]\nmodel = {expected_model}\n"
-        source = "<defaults>"
+        text, source = "", "<defaults>"
+    return parse_config(
+        text, overrides=args.override, source=source, implied=args.implied
+    )
 
-    model, driving = _inspect_scheme(text, overrides)
-    implied = []
-    if expected_model is not None:
-        if model is None:
-            implied.append(f"scheme.model={expected_model}")
-        elif model != expected_model:
-            raise ConfigurationError(
-                f"{args.command} runs the {expected_model} scheme, but the "
-                f"configuration selects model = {model}"
-            )
-    if expected_driving is not None:
-        if driving is None:
-            implied.append(f"scheme.driving={expected_driving}")
-        elif driving != expected_driving:
-            raise ConfigurationError(
-                f"{args.command} uses {expected_driving} driving, but the "
-                f"configuration selects driving = {driving}"
-            )
-    return parse_config(text, overrides=implied + overrides, source=source)
+
+class _Model(NamedTuple):
+    """What the line and the channel differ in on output."""
+
+    sigmas: tuple  # the swept sigma pair
+    params: tuple  # scheme parameters echoed after it
+    amplitudes: tuple  # driving amplitude keys; a scheme reads one of them
+    profile: tuple  # abscissa and value columns of the settled profile
+    figure: str  # the sweep figure
+
+
+_MODELS = {
+    "d1q3": _Model(("sigma1", "sigma2"), ("zeta",), ("source",), ("x", "rho"), "fig2"),
+    "d2q9": _Model(
+        ("sigma5", "sigma8"), ("alpha", "beta", "s_bulk"), ("force_x", "delta_p"),
+        ("y", "jx"), "fig4",
+    ),
+}
+
+
+def _echo(cfg, names):
+    """Metadata items of the named config values, skipping unset ones."""
+    items = [(name, getattr(cfg, name)) for name in names]
+    return [(name, value) for name, value in items if value is not None]
 
 
 def _base_metadata(cfg):
-    meta = [("config_hash", config_hash(cfg))]
     if cfg.model == "d1q3":
-        meta.append(("variant", f"d1q3-{cfg.variant}"))
-        meta.append(("grid", str(cfg.n)))
+        variant, grid = f"d1q3-{cfg.variant}", str(cfg.n)
     else:
-        meta.append(("variant", cfg.driving))
-        meta.append(("grid", f"{cfg.nx}x{cfg.ny}"))
-    meta.append(("predictor", predicted_product(cfg)))
-    return meta
+        variant, grid = cfg.driving, f"{cfg.nx}x{cfg.ny}"
+    return [
+        ("config_hash", config_hash(cfg)),
+        ("variant", variant),
+        ("grid", grid),
+        ("predictor", predicted_product(cfg)),
+    ]
 
 
-def _cmd_poisson_1d(cfg):
+def _cmd_profile(cfg):
+    model = _MODELS[cfg.model]
     exp = build_experiment(cfg)
     f, steps = run_to_steady(exp)
-    x, rho = density_profile(exp, f)
-    fit = fit_parabola(x, rho)
-    lower = wall_location(fit, 0.0, 1.0, "lower")
-    upper = wall_location(fit, float(exp.n - 1), 1.0, "upper")
-    meta = _base_metadata(cfg) + [
-        ("sigma1", cfg.sigma1),
-        ("sigma2", cfg.sigma2),
-        ("product", exp.product),
-        ("zeta", cfg.zeta),
-        ("source", cfg.source),
-        ("steps", steps),
-        ("fit_window", f"nodes 0..{exp.n - 1}"),
-        ("fit_residual", fit.residual),
-        ("delta_q_lower", lower.delta_q),
-        ("delta_q_upper", upper.delta_q),
-    ]
-    columns = (("x", "dx"), ("rho", ""))
-    rows = tuple((float(xi), float(ri)) for xi, ri in zip(x, rho))
-    return results.ResultTable(columns, rows, tuple(meta)), None
-
-
-def _cmd_poiseuille(cfg):
-    exp = build_experiment(cfg)
-    f, steps = run_to_steady(exp)
-    y, jx = velocity_profile(exp, f)
-    fit = fit_parabola(y, jx)
-    lower = wall_location(fit, 0.0, 1.0, "lower")
-    upper = wall_location(fit, float(exp.ny - 1), 1.0, "upper")
-    meta = _base_metadata(cfg) + [
-        ("sigma5", cfg.sigma5),
-        ("sigma8", cfg.sigma8),
-        ("product", exp.product),
-        ("alpha", cfg.alpha),
-        ("beta", cfg.beta),
-        ("s_bulk", cfg.s_bulk),
-    ]
-    if cfg.driving == "pressure":
-        meta.append(("delta_p", cfg.delta_p))
-    else:
-        meta.append(("force_x", cfg.force_x))
-    meta += [
-        ("steps", steps),
-        ("fit_window", f"column {exp.nx // 2}, nodes 0..{exp.ny - 1}"),
-        ("fit_residual", fit.residual),
-        ("delta_q_lower", lower.delta_q),
-        ("delta_q_upper", upper.delta_q),
-    ]
-    columns = (("y", "dx"), ("jx", ""))
-    rows = tuple((float(yi), float(ji)) for yi, ji in zip(y, jx))
-    return results.ResultTable(columns, rows, tuple(meta)), None
-
-
-def _sweep_columns(cfg):
     if cfg.model == "d1q3":
-        names = ("sigma1", "sigma2")
+        x, values = density_profile(exp, f)
+        window = ""
     else:
-        names = ("sigma5", "sigma8")
-    return ((names[0], ""), (names[1], ""), ("product", ""), ("delta_q_over_dx", ""))
+        x, values = velocity_profile(exp, f)
+        window = f"column {exp.nx // 2}, "
+    fit = fit_parabola(x, values)
+    lower = wall_location(fit, float(x[0]), 1.0, "lower")
+    upper = wall_location(fit, float(x[-1]), 1.0, "upper")
+    meta = (
+        _base_metadata(cfg)
+        + _echo(cfg, model.sigmas)
+        + [("product", exp.product)]
+        + _echo(cfg, model.params + model.amplitudes)
+        + [
+            ("steps", steps),
+            ("fit_window", f"{window}nodes 0..{len(x) - 1}"),
+            ("fit_residual", fit.residual),
+            ("delta_q_lower", lower.delta_q),
+            ("delta_q_upper", upper.delta_q),
+        ]
+    )
+    axis, value = model.profile
+    rows = tuple((float(xi), float(vi)) for xi, vi in zip(x, values))
+    return results.ResultTable(((axis, "dx"), (value, "")), rows, tuple(meta)), None
+
+
+def _sample_table(cfg, found, meta):
+    """The table of a sweep or root search: one row per sample."""
+    model = _MODELS[cfg.model]
+    names = (*model.sigmas, "product", "delta_q_over_dx")
+    rows = tuple(tuple(float(v) for v in row) for row in found.samples)
+    table = results.ResultTable(
+        tuple((name, "") for name in names), rows, tuple(_base_metadata(cfg) + meta)
+    )
+    return table, model.figure
 
 
 def _cmd_sweep(cfg):
@@ -209,13 +179,8 @@ def _cmd_sweep(cfg):
         )
     exp = build_experiment(cfg)
     swept = sweep_product(exp, cfg.products, split_check=cfg.split_check)
-    meta = _base_metadata(cfg) + [
-        ("split_check", cfg.split_check),
-        ("samples", len(swept.samples)),
-    ]
-    rows = tuple(tuple(float(v) for v in row) for row in swept.samples)
-    figure = "fig2" if cfg.model == "d1q3" else "fig4"
-    return results.ResultTable(_sweep_columns(cfg), rows, tuple(meta)), figure
+    meta = [("split_check", cfg.split_check), ("samples", len(swept.samples))]
+    return _sample_table(cfg, swept, meta)
 
 
 def _cmd_magic_root(cfg):
@@ -231,7 +196,7 @@ def _cmd_magic_root(cfg):
         product_tol=cfg.product_tol,
         max_evals=cfg.max_evals,
     )
-    meta = _base_metadata(cfg) + [
+    meta = [
         ("bracket_lo", cfg.bracket_lo),
         ("bracket_hi", cfg.bracket_hi),
         ("product_tol", cfg.product_tol),
@@ -239,71 +204,35 @@ def _cmd_magic_root(cfg):
         ("evaluations", len(found.samples)),
         ("root", found.root),
     ]
-    rows = tuple(tuple(float(v) for v in row) for row in found.samples)
-    figure = "fig2" if cfg.model == "d1q3" else "fig4"
-    return results.ResultTable(_sweep_columns(cfg), rows, tuple(meta)), figure
+    return _sample_table(cfg, found, meta)
 
 
-def _cmd_diffusivity(cfg):
-    measured = measure_diffusivity(
-        cfg.variant,
-        cfg.sigma1,
-        cfg.sigma2,
-        zeta=cfg.zeta,
-        n=cfg.measure_n,
-        mode=cfg.mode,
-        steps=cfg.steps,
-        skip=cfg.skip,
-    )
-    formula = diffusivity_from_params(cfg.variant, cfg.sigma1, cfg.zeta)
+def _cmd_transport(cfg):
+    model = _MODELS[cfg.model]
+    wave = dict(mode=cfg.mode, steps=cfg.steps, skip=cfg.skip)
+    if cfg.model == "d1q3":
+        measured = measure_diffusivity(
+            cfg.variant, cfg.sigma1, cfg.sigma2, zeta=cfg.zeta, n=cfg.measure_n, **wave
+        )
+        formula = diffusivity_from_params(cfg.variant, cfg.sigma1, cfg.zeta)
+        name, grid = "kappa", str(cfg.measure_n)
+    else:
+        measured = measure_viscosity(
+            cfg.sigma5, cfg.sigma8, alpha=cfg.alpha, beta=cfg.beta, s_bulk=cfg.s_bulk,
+            nx=cfg.measure_nx, ny=cfg.measure_ny, **wave,
+        )
+        formula = cfg.sigma8 / 3.0
+        name, grid = "nu", f"{cfg.measure_nx}x{cfg.measure_ny}"
     rel_error = abs(measured - formula) / abs(formula)
-    meta = _base_metadata(cfg) + [
-        ("sigma1", cfg.sigma1),
-        ("sigma2", cfg.sigma2),
-        ("zeta", cfg.zeta),
-        ("measure_grid", str(cfg.measure_n)),
-        ("mode", cfg.mode),
-        ("steps", cfg.steps),
-        ("skip", cfg.skip),
-    ]
-    columns = (
-        ("measured_kappa", "dx^2/dt"),
-        ("formula_kappa", "dx^2/dt"),
-        ("rel_error", ""),
+    meta = (
+        _base_metadata(cfg)
+        + _echo(cfg, model.sigmas + model.params)
+        + [("measure_grid", grid)]
+        + list(wave.items())
     )
-    rows = ((float(measured), float(formula), float(rel_error)),)
-    return results.ResultTable(columns, rows, tuple(meta)), None
-
-
-def _cmd_viscosity(cfg):
-    measured = measure_viscosity(
-        cfg.sigma5,
-        cfg.sigma8,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        s_bulk=cfg.s_bulk,
-        nx=cfg.measure_nx,
-        ny=cfg.measure_ny,
-        mode=cfg.mode,
-        steps=cfg.steps,
-        skip=cfg.skip,
-    )
-    formula = cfg.sigma8 / 3.0
-    rel_error = abs(measured - formula) / abs(formula)
-    meta = _base_metadata(cfg) + [
-        ("sigma5", cfg.sigma5),
-        ("sigma8", cfg.sigma8),
-        ("alpha", cfg.alpha),
-        ("beta", cfg.beta),
-        ("s_bulk", cfg.s_bulk),
-        ("measure_grid", f"{cfg.measure_nx}x{cfg.measure_ny}"),
-        ("mode", cfg.mode),
-        ("steps", cfg.steps),
-        ("skip", cfg.skip),
-    ]
     columns = (
-        ("measured_nu", "dx^2/dt"),
-        ("formula_nu", "dx^2/dt"),
+        (f"measured_{name}", "dx^2/dt"),
+        (f"formula_{name}", "dx^2/dt"),
         ("rel_error", ""),
     )
     rows = ((float(measured), float(formula), float(rel_error)),)
@@ -316,16 +245,16 @@ def _cmd_viscosity(cfg):
 _COMMANDS = (
     ("poisson-1d", "d1q3", None,
      "march the source-driven line scheme and locate both walls",
-     _cmd_poisson_1d),
+     _cmd_profile),
     ("poiseuille-force", "d2q9", "force-split-half",
      "split-half forced channel flow, wall offsets from the profile",
-     _cmd_poiseuille),
+     _cmd_profile),
     ("poiseuille-force-pop", "d2q9", "force-population",
      "population-forced channel flow, wall offsets from the profile",
-     _cmd_poiseuille),
+     _cmd_profile),
     ("poiseuille-pressure", "d2q9", "pressure",
      "pressure-driven channel flow, wall offsets from the profile",
-     _cmd_poiseuille),
+     _cmd_profile),
     ("sweep", None, None,
      "measure the wall offset over a list of sigma products",
      _cmd_sweep),
@@ -334,11 +263,26 @@ _COMMANDS = (
      _cmd_magic_root),
     ("diffusivity", "d1q3", None,
      "measure bulk diffusivity from a decaying density wave",
-     _cmd_diffusivity),
+     _cmd_transport),
     ("viscosity", "d2q9", None,
      "measure shear viscosity from a decaying shear wave",
-     _cmd_viscosity),
+     _cmd_transport),
 )
+
+
+def _write(table, figure, out_dir, command):
+    """Write <command>.csv, and <command>.plot when there is a figure."""
+    csv_path = os.path.join(out_dir, command + ".csv")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        results.write_table(table, csv_path)
+        print(f"wrote {csv_path}")
+        if figure is not None:
+            plot_path = os.path.join(out_dir, command + ".plot")
+            results.write_plot_script(table, figure, csv_path, plot_path)
+            print(f"wrote {plot_path}")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output: {exc}") from None
 
 
 def main(argv=None):
@@ -348,14 +292,7 @@ def main(argv=None):
         cfg = _load_config(args)
         table, figure = args.handler(cfg)
         out_dir = args.out if args.out is not None else cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, args.command + ".csv")
-        results.write_table(table, csv_path)
-        print(f"wrote {csv_path}")
-        if figure is not None:
-            plot_path = os.path.join(out_dir, args.command + ".plot")
-            results.write_plot_script(table, figure, csv_path, plot_path)
-            print(f"wrote {plot_path}")
+        _write(table, figure, out_dir, args.command)
         return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -200,8 +200,8 @@ _TABLE = (
     ("driving", "source", "source", _LINE, float, 1e-6, None),
     ("driving", "force_x", "force_x", _FORCE, float, 1e-6, None),
     ("driving", "delta_p", "delta_p", _PRESSURE, float, 1e-6, None),
-    ("criterion", "tolerance", "tolerance", None, float, 1e-15, _POSITIVE),
-    ("criterion", "check_every", "check_every", None, int, 100, 1),
+    ("criterion", "tolerance", "tolerance", None, float, 1e-15, None),
+    ("criterion", "check_every", "check_every", None, int, 100, None),
     ("criterion", "max_steps", "max_steps", None, int, 500_000, None),
     ("sweep", "products", "products", None, _parse_products, _default_products,
      _POSITIVE),
@@ -298,7 +298,7 @@ def _below(value, bound):
     return min(items) < bound
 
 
-def parse_config(text, overrides=(), source="<config>"):
+def parse_config(text, overrides=(), source="<config>", implied=(None, None)):
     """Parse and validate an INI document into a RunConfig.
 
     Parameters
@@ -310,6 +310,10 @@ def parse_config(text, overrides=(), source="<config>"):
         validation; later items win.
     source : str
         Name used in error annotations (usually the file path).
+    implied : (model, driving)
+        The scheme a command implies, None where it implies nothing.  An
+        implied value fills its scheme key when the document leaves it
+        out; a different value in the document is a violation.
 
     Raises
     ------
@@ -329,6 +333,16 @@ def parse_config(text, overrides=(), source="<config>"):
         else:
             prefix = f"{source}:{place}: "
         problems.append(f"{prefix}{section}.{key}: {message}")
+
+    scheme = raw.setdefault("scheme", {})
+    for key, value in zip(("model", "driving"), implied):
+        if value is None:
+            continue
+        if key not in scheme:
+            scheme[key] = value
+        elif scheme[key] != value:
+            note("scheme", key, f"the command implies {key} {value}, got {scheme[key]}")
+            break  # under another model the implied driving means nothing
 
     for section, keys in raw.items():
         if section not in _SECTIONS:
@@ -365,7 +379,7 @@ def parse_config(text, overrides=(), source="<config>"):
         if name not in values:
             values[name] = default(values) if callable(default) else default
 
-    if "model" not in raw.get("scheme", {}):
+    if "model" not in scheme:
         problems.append(f"{source}: scheme.model is required")
     lo, hi = values["bracket_lo"], values["bracket_hi"]
     if ("bracket_lo" in given) != ("bracket_hi" in given):
@@ -383,13 +397,12 @@ def parse_config(text, overrides=(), source="<config>"):
             "skip",
             f"skip must be < steps ({values['steps']}), got {values['skip']}",
         )
-    if values["max_steps"] < values["check_every"]:
-        note(
-            "criterion",
-            "max_steps",
-            f"max_steps ({values['max_steps']}) must be >= check_every "
-            f"({values['check_every']})",
-        )
+    # The criterion states its own rules; each message opens with its field.
+    try:
+        build_criterion(SimpleNamespace(**values))
+    except ConfigurationError as exc:
+        for message in exc.violations:
+            note("criterion", message.partition(" ")[0], message)
     if values.get("driving") == "pressure":
         if sound_speed_sq(values["alpha"]) <= 0.0:
             note(

@@ -113,6 +113,9 @@ class D1Q3Experiment:
     source: float = 1e-6
     criterion: SteadyStateCriterion = field(default_factory=SteadyStateCriterion)
 
+    # The relaxation parameters whose product is swept, in sample-row order.
+    factors = ("sigma1", "sigma2")
+
     def __post_init__(self):
         if self.variant not in ("a", "b"):
             raise ConfigurationError(
@@ -156,6 +159,8 @@ class D2Q9Experiment:
     fx: float = 1e-6
     delta_p: float = 1e-6
     criterion: SteadyStateCriterion = field(default_factory=SteadyStateCriterion)
+
+    factors = ("sigma5", "sigma8")
 
     def __post_init__(self):
         if self.driving not in DRIVING_TAGS:
@@ -318,56 +323,41 @@ def wall_offset(exp, f, side="lower", column=None):
     """Wall offset of a settled run, from a parabola fit of the profile.
 
     The fit uses every node of the line (1-D) or the full transverse
-    profile at one column (2-D, mid-channel by default).
+    profile at one column (2-D, mid-channel by default); the wall node
+    is the profile's first (lower) or last (upper) abscissa.
     """
     if isinstance(exp, D1Q3Experiment):
         x, vals = density_profile(exp, f)
-        x_b = 0.0 if side == "lower" else float(exp.n - 1)
     else:
         x, vals = velocity_profile(exp, f, column=column)
-        x_b = 0.0 if side == "lower" else float(exp.ny - 1)
     fit = fit_parabola(x, vals)
-    return wall_location(fit, x_b, 1.0, side)
+    return wall_location(fit, float(x[0] if side == "lower" else x[-1]), 1.0, side)
 
 
-def _with_product(exp, product, pair=None):
+def _with_product(exp, product):
     """Copy of the experiment realizing a given sigma product.
 
-    By default the first factor stays at its configured value and the
-    second takes product / first.  An explicit (sigma_a, sigma_b) pair
-    overrides that split; its product must match.
+    The line keeps sigma1 and the channel sigma8; the other factor takes
+    product / kept.
     """
     if product <= 0.0:
         raise ConfigurationError(f"sigma product must be positive, got {product}")
-    if pair is not None:
-        sa, sb = float(pair[0]), float(pair[1])
-        if abs(sa * sb - product) > 1e-12 * abs(product):
-            raise ConfigurationError(
-                f"factorization {pair!r} does not realize product {product}"
-            )
     if isinstance(exp, D1Q3Experiment):
-        if pair is None:
-            sa, sb = exp.sigma1, product / exp.sigma1
-        return replace(exp, sigma1=sa, sigma2=sb)
-    if pair is None:
-        sb = exp.sigma8
-        sa = product / sb
-    return replace(exp, sigma5=sa, sigma8=sb)
+        return replace(exp, sigma2=product / exp.sigma1)
+    return replace(exp, sigma5=product / exp.sigma8)
 
 
-def _sample(exp, product, pair=None, init=None):
-    """March ``exp`` at a product to steady state and read its wall offset.
+def _sample(exp, product, init=None):
+    """March ``exp``, already at ``product``, and read its wall offset.
 
     Returns the settled populations and the sample row (sigma_a,
-    sigma_b, product, delta_q).  ``pair`` is as in ``_with_product``,
-    ``init`` as in ``run_to_steady``.
+    sigma_b, product, delta_q).  The row keeps the requested product,
+    which the two factors may miss in the last ulp; ``init`` is as in
+    ``run_to_steady``.
     """
-    exp_p = _with_product(exp, product, pair=pair)
-    f, _ = run_to_steady(exp_p, init=init)
-    dq = wall_offset(exp_p, f).delta_q
-    if isinstance(exp_p, D1Q3Experiment):
-        return f, (exp_p.sigma1, exp_p.sigma2, product, dq)
-    return f, (exp_p.sigma5, exp_p.sigma8, product, dq)
+    f, _ = run_to_steady(exp, init=init)
+    sigmas = (getattr(exp, name) for name in exp.factors)
+    return f, (*sigmas, product, wall_offset(exp, f).delta_q)
 
 
 def predict_magic(variant, alpha=None, beta=None):
@@ -414,16 +404,14 @@ def predicted_product(scheme):
     return predict_magic(driving, scheme.alpha, scheme.beta)
 
 
-def sweep_product(exp, products, extra_factorizations=None, split_check=True):
+def sweep_product(exp, products, split_check=True):
     """Measure delta_q over a list of sigma products.
 
     One converged run per sample, warm-starting each run from the
     previous settled state (the steady state is unique, so this only
     saves steps).  With ``split_check`` the median product is re-run
     with its two sigma factors swapped, so the returned samples carry at
-    least two distinct factorizations of one product.  Additional
-    explicit (sigma_a, sigma_b) pairs can be passed in
-    ``extra_factorizations``.
+    least two distinct factorizations of one product.
     """
     products = sorted(float(p) for p in products)
     if not products:
@@ -431,16 +419,14 @@ def sweep_product(exp, products, extra_factorizations=None, split_check=True):
     samples = []
     warm = None
     for p in products:
-        warm, row = _sample(exp, p, init=warm)
+        warm, row = _sample(_with_product(exp, p), p, init=warm)
         samples.append(row)
 
-    pairs = list(extra_factorizations or [])
     if split_check:
-        sa, sb = samples[len(products) // 2][:2]
-        pairs.append((sb, sa))
-    for pair in pairs:
-        p = float(pair[0]) * float(pair[1])
-        samples.append(_sample(exp, p, pair=pair, init=warm)[1])
+        median = _with_product(exp, products[len(products) // 2])
+        a, b = median.factors
+        swapped = replace(median, **{a: getattr(median, b), b: getattr(median, a)})
+        samples.append(_sample(swapped, swapped.product, init=warm)[1])
 
     samples.sort(key=lambda row: (row[2], row[0]))
     return MagicSweep(
@@ -504,7 +490,8 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
     settled = {}
 
     def objective(p):
-        settled[p], row = _sample(exp, p, init=_interpolated_start(settled, p))
+        exp_p = _with_product(exp, p)
+        settled[p], row = _sample(exp_p, p, init=_interpolated_start(settled, p))
         samples.append(row)
         return row[3] - 0.5
 

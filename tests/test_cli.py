@@ -7,6 +7,8 @@ point stays wired up and that a root search never imports scipy.
 """
 
 import argparse
+import importlib
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -233,7 +235,10 @@ def test_conflicting_model_is_a_usage_error(tmp_path, capsys):
     config.write_text("[scheme]\nmodel = d2q9\n")
     rc = run_cli(tmp_path, "poisson-1d", "--config", str(config))
     assert rc == 2
-    assert "model" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "model" in err
+    # Filed under the key, with the line the document selects it on.
+    assert f"{config}:2: scheme.model:" in err
 
 
 def test_conflicting_driving_is_a_usage_error(tmp_path, capsys):
@@ -283,6 +288,17 @@ def test_degenerate_profile_exits_4(tmp_path, capsys):
     assert not (tmp_path / "poisson-1d.csv").exists()
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    rc = main(["poisson-1d", "--override", "grid.n=8", "--out", str(blocker)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "a file, not a directory\n"
+
+
 def test_missed_bracket_exits_4(tmp_path, capsys):
     config = tmp_path / "root.ini"
     config.write_text(
@@ -295,8 +311,84 @@ def test_missed_bracket_exits_4(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Determinism
+# ---------------------------------------------------------------------------
+
+_LINE_SAMPLES = (
+    "[scheme]\nmodel = d1q3\n\n[grid]\nn = 8\n\n"
+    "[sweep]\nproducts = 0.0625, 0.125, 0.25\n\n"
+    "[root]\nbracket_lo = 0.05\nbracket_hi = 0.3\nproduct_tol = 0.001\n"
+)
+_CHANNEL = ("--override", "grid.nx=5", "--override", "grid.ny=7")
+_WAVE = ("--override", "measure.steps=300", "--override", "measure.skip=50")
+
+# Every subcommand once, each on a grid that takes milliseconds.
+_SMALL_RUNS = (
+    ("poisson-1d", "--override", "grid.n=8"),
+    ("poiseuille-force", *_CHANNEL),
+    ("poiseuille-force-pop", *_CHANNEL),
+    ("poiseuille-pressure", "--override", "grid.nx=12", "--override", "grid.ny=7"),
+    ("sweep", "--config", "{config}"),
+    ("magic-root", "--config", "{config}"),
+    ("diffusivity", "--override", "measure.n=16", *_WAVE),
+    ("viscosity", "--override", "measure.nx=16", "--override", "measure.ny=1", *_WAVE),
+)
+
+
+def test_every_command_writes_byte_identical_files_twice(tmp_path):
+    config = tmp_path / "line.ini"
+    config.write_text(_LINE_SAMPLES)
+    written = []
+    for attempt in ("first", "second"):
+        out = tmp_path / attempt
+        for command, *rest in _SMALL_RUNS:
+            args = [item.format(config=config) for item in rest]
+            assert main([command, *args, "--out", str(out)]) == 0, command
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    first, second = written
+    assert len(first) == len(_SMALL_RUNS) + 2  # a .plot for sweep and magic-root
+    assert first == second
+
+
+# ---------------------------------------------------------------------------
 # Wiring
 # ---------------------------------------------------------------------------
+
+
+def _span_targets(monkeypatch):
+    """``TARGETS`` of the benchmark's tracer, loaded read-only by path."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def test_traced_functions_are_called_by_the_names_the_tracer_wraps(
+    tmp_path, monkeypatch
+):
+    # The traced benchmark swaps each target at the name its caller reads
+    # at call time; a rename or another call route would leave it blind.
+    hits = {}
+    for module_name, attr, _ in _span_targets(monkeypatch):
+        func = getattr(importlib.import_module(module_name), attr)
+        assert callable(func), (module_name, attr)
+
+        def counting(*args, _key=(module_name, attr), _func=func, **kwargs):
+            hits[_key] = hits.get(_key, 0) + 1
+            return _func(*args, **kwargs)
+
+        hits[(module_name, attr)] = 0
+        monkeypatch.setattr(importlib.import_module(module_name), attr, counting)
+    config = tmp_path / "line.ini"
+    config.write_text(_LINE_SAMPLES)
+    traced = ("magic-root", "diffusivity", "viscosity")  # the benchmark's commands
+    for command, *rest in [run for run in _SMALL_RUNS if run[0] in traced]:
+        args = [item.format(config=config) for item in rest]
+        assert main([command, *args, "--out", str(tmp_path)]) == 0, command
+    assert [key for key, count in hits.items() if count == 0] == []
+
 
 
 def test_parser_lists_all_commands():

@@ -186,6 +186,22 @@ def test_singular_pressure_predictor_is_a_parse_error():
     assert "alpha + 2 beta - 4 = 0" in violation
 
 
+def test_implied_scheme_fills_missing_keys_and_files_conflicts():
+    implied = ("d2q9", "pressure")
+    cfg = parse_config("", source="<defaults>", implied=implied)
+    assert (cfg.model, cfg.driving) == implied
+    assert parse_config(MINIMAL_PLANE, implied=implied).driving == "pressure"
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config(MINIMAL_PLANE + "driving = force-population\n", implied=implied)
+    (violation,) = excinfo.value.violations
+    assert violation.startswith("<config>:3: scheme.driving:")
+    assert "pressure" in violation and "force-population" in violation
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config("", overrides=("scheme.model=d1q3",), implied=implied)
+    (violation,) = excinfo.value.violations
+    assert violation.startswith("--override scheme.model:")
+
+
 def test_criterion_violations_name_their_own_key():
     (violation,) = violations_of(MINIMAL_LINE + "\n[criterion]\ncheck_every = 0\n")
     assert violation.startswith("<config>:5: criterion.check_every:")
