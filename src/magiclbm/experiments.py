@@ -59,6 +59,9 @@ __all__ = [
 
 DRIVING_TAGS = ("force-split-half", "force-population", "pressure")
 
+# Window-residual differences a march mixes into its next start (see _march).
+ANDERSON_DEPTH = 2
+
 
 @dataclass(frozen=True)
 class SteadyStateCriterion:
@@ -67,7 +70,11 @@ class SteadyStateCriterion:
     ``tolerance`` is the admissible relative change per step, measured
     as the max-norm change of the population field across a window of
     ``check_every`` steps divided by the field scale and the window
-    length.  ``max_steps`` bounds the total march.
+    length.  The march is Anderson-accelerated, so a window may start
+    from a mix of earlier window ends rather than from the last one; the
+    change is still measured from the window's own start to its end, and
+    a march stops, and returns, only at the end of a real window.
+    ``max_steps`` bounds the total of kernel steps marched.
     """
 
     tolerance: float = 1e-15
@@ -209,8 +216,20 @@ def _channel(exp):
 
 
 def _march(run_chunk, f, criterion):
+    """Anderson-accelerated windows of ``run_chunk`` until the criterion holds.
+
+    Each check window maps its start f to G(f) = ``run_chunk(f,
+    check_every)``, an affine map whose fixed point is the steady state.
+    After a full window that has not converged, the next start is G(f)
+    minus the mix of the recent window-end differences that best cancels
+    the latest residual G(f) - f, by least squares on the differences of
+    the last ``ANDERSON_DEPTH + 1`` residuals (D. G. Anderson, J. ACM 12,
+    547 (1965)).  A window whose relative change did not fall from the
+    previous one clears that history and the plain step G(f) follows.
+    """
     steps_done = 0
     rel = None
+    history = []  # (window end, residual) of the last full windows
     # A diverging field overflows inside the chunk before the check
     # below sees it; the ConvergenceError reports that, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -218,14 +237,15 @@ def _march(run_chunk, f, criterion):
             chunk = min(criterion.check_every, criterion.max_steps - steps_done)
             f_new = run_chunk(f, chunk)
             steps_done += chunk
-            change = float(np.max(np.abs(f_new - f)))
+            residual = f_new - f
+            change = float(np.max(np.abs(residual)))
             scale = float(np.max(np.abs(f_new)))
             f = f_new
             if scale == 0.0:
                 if change == 0.0:
                     return f, steps_done
                 continue
-            rel = change / scale / chunk
+            last, rel = rel, change / scale / chunk
             if rel < criterion.tolerance:
                 return f, steps_done
             if not np.isfinite(rel):
@@ -235,6 +255,13 @@ def _march(run_chunk, f, criterion):
                     last_change=rel,
                     steps=steps_done,
                 )
+            if last is not None and rel >= last:
+                history = []
+            history = history[-ANDERSON_DEPTH:] + [(f_new.ravel(), residual.ravel())]
+            if len(history) > 1:
+                d_ends, d_residuals = (np.diff(a, axis=0) for a in zip(*history))
+                gamma = np.linalg.lstsq(d_residuals.T, residual.ravel(), rcond=None)[0]
+                f = f_new - (gamma @ d_ends).reshape(f.shape)
     raise ConvergenceError(
         f"no steady state within {criterion.max_steps} steps "
         f"(last relative change per step {rel})",
@@ -254,7 +281,10 @@ def run_to_steady(exp, init=None):
 
     Returns
     -------
-    (f, steps) : settled populations and the number of steps marched.
+    (f, steps) : settled populations and the number of kernel steps
+        marched.  The windows are Anderson-accelerated (``_march``); f is
+        the end of the last window, the one whose relative change per
+        step fell below the criterion's tolerance.
 
     Raises
     ------

@@ -7,6 +7,7 @@ time.  The off-magic oracle is the closed form of the discrete steady
 profile on sixteen nodes, frozen below.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -20,7 +21,7 @@ from magiclbm.errors import (
     LocalizationError,
     MeasurementError,
 )
-from magiclbm import boundaries, kernels
+from magiclbm import boundaries, experiments, kernels
 from magiclbm.collision import (
     diffusivity_from_params,
     equilibrium_d1q3,
@@ -273,6 +274,82 @@ def test_warm_start_resumes_from_steady_state():
     )
 
 
+def plain_march(exp):
+    """The unaccelerated window loop: whole windows from rest, no mixing.
+
+    Calls the kernels directly with the experiment's closures and stops
+    by the criterion's rule.  Returns (f, steps), or raises the
+    ConvergenceError of a non-finite check as ``run_to_steady`` does.
+    """
+    if isinstance(exp, D1Q3Experiment):
+        f = np.zeros((3, exp.n))
+        closures = boundaries.diffusion_closures()
+        settings = relaxation_d1q3(exp.sigma1, exp.sigma2)
+        args = (closures, settings, exp.variant, exp.zeta, exp.source)
+        kernel = kernels.d1q3_run
+    else:
+        f = np.zeros((9, exp.ny, exp.nx))
+        driving = exp.driving
+        closures = boundaries.force_channel_closures()
+        if driving == "pressure":
+            delta_rho = exp.delta_p / boundaries.sound_speed_sq(exp.alpha)
+            closures = boundaries.pressure_channel_closures(delta_rho)
+            driving = None
+        settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
+        args = (closures, settings, exp.alpha, exp.beta, driving, exp.fx)
+        kernel = kernels.d2q9_run
+    window = exp.criterion.check_every
+    steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps < exp.criterion.max_steps:
+            f_new = kernel(f, window, *args)
+            steps += window
+            rel = np.max(np.abs(f_new - f)) / np.max(np.abs(f_new)) / window
+            f = f_new
+            if rel < exp.criterion.tolerance:
+                return f, steps
+            if not np.isfinite(rel):
+                raise ConvergenceError("march diverged", last_change=rel, steps=steps)
+    raise AssertionError("plain march did not settle")
+
+
+PLAIN_MARCH_CASES = {
+    "line-a": D1Q3Experiment(variant="a", n=32, sigma1=2.0, sigma2=0.05),
+    "line-b": D1Q3Experiment(variant="b", n=32, zeta=0.6),
+    "split-half": D2Q9Experiment(driving="force-split-half", nx=100, ny=21),
+    "population": D2Q9Experiment(driving="force-population", nx=20, ny=11),
+    "pressure": D2Q9Experiment(driving="pressure", nx=40, ny=9, alpha=-1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_MARCH_CASES))
+def test_accelerated_march_settles_where_the_plain_one_does(name):
+    exp = PLAIN_MARCH_CASES[name]
+    f, steps = run_to_steady(exp)
+    g, plain_steps = plain_march(exp)
+    assert steps % exp.criterion.check_every == 0
+    assert steps <= plain_steps
+    assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(g))
+    assert wall_offset(exp, f).delta_q == pytest.approx(
+        wall_offset(exp, g).delta_q, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("zeta, plain_steps", [(1.5, 1300), (2.0, 900)])
+def test_unstable_scheme_diverges_at_the_plain_march_step(zeta, plain_steps):
+    # The mixing must not settle onto the fixed point of an unstable
+    # scheme: it diverges at the very check the plain window loop does.
+    exp = D1Q3Experiment(variant="b", n=32, zeta=zeta)
+    with pytest.raises(ConvergenceError, match="diverged") as plain:
+        plain_march(exp)
+    assert plain.value.steps == plain_steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="diverged") as excinfo:
+            run_to_steady(exp)
+    assert excinfo.value.steps == plain_steps
+
+
 def test_kernel_calls_go_through_the_module_with_f_and_steps_first(monkeypatch):
     # The traced benchmark swaps kernels.d1q3_run / d2q9_run by name and
     # reads the populations and the step count from args[0] and args[1].
@@ -389,10 +466,43 @@ ROOT_SEARCHES = {
 PRODUCT_TOL = 1e-5
 
 
+@functools.cache
+def logged_root_search(name):
+    """One benchmark search, with every march's experiment, state and steps."""
+    marches = []
+
+    def logged(exp, init=None):
+        f, steps = run_to_steady(exp, init=init)
+        marches.append((exp, f, steps))
+        return f, steps
+
+    exp = ROOT_SEARCHES[name]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "run_to_steady", logged)
+        sweep = find_magic_root(exp, product_tol=PRODUCT_TOL)
+    return exp, sweep, marches
+
+
 @pytest.fixture(scope="module", params=sorted(ROOT_SEARCHES))
 def root_search(request):
-    exp = ROOT_SEARCHES[request.param]
-    return exp, find_magic_root(exp, product_tol=PRODUCT_TOL)
+    exp, sweep, _ = logged_root_search(request.param)
+    return exp, sweep
+
+
+def test_root_searches_march_few_steps():
+    # 16,300 kernel steps with the plain window loop; 5,900 accelerated.
+    total = sum(
+        steps for name in ROOT_SEARCHES for _, _, steps in logged_root_search(name)[2]
+    )
+    assert total <= 8000
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_SEARCHES))
+def test_warm_start_from_a_settled_search_state_converges_at_once(name):
+    for exp, f, _ in logged_root_search(name)[2]:
+        g, steps = run_to_steady(exp, init=f)
+        assert steps == exp.criterion.check_every
+        assert np.max(np.abs(g - f)) <= 1e-12 * np.max(np.abs(f))
 
 
 def test_root_search_takes_few_evaluations(root_search):
