@@ -607,18 +607,19 @@ def _wave_amplitudes(kernel, args, start, shape, mode, steps, amplitude):
     The wave sin(k x), k = 2 pi mode / shape[-1], runs along the last
     axis of ``shape`` and is tiled over the others; ``start(wave)`` gives
     its equilibrium populations.  One ``kernel(f, steps, *args)`` call
-    marches them, and ``amplitude(proj, f)``, with the projection ``proj
-    = 2 wave / wave.size``, is read before the first step and after each
-    one.  Returns k and the ``steps + 1`` amplitudes.
+    marches them, and ``amplitude(proj, states)``, with the projection
+    ``proj = 2 wave / wave.size``, reads one amplitude per state of a
+    stack (the step on the leading axis): the initial state, then each
+    block the kernel observes.  Returns k and the ``steps + 1`` amplitudes.
     """
     n = shape[-1]
     k = 2.0 * np.pi * mode / n
     wave = np.tile(np.sin(k * np.arange(n, dtype=np.float64)), shape[:-1] + (1,))
     proj = 2.0 / wave.size * wave
     f = start(wave)
-    amps = [amplitude(proj, f)]
-    kernel(f, steps, *args, observe=lambda g: amps.append(amplitude(proj, g)))
-    return k, np.array(amps)
+    amps = [amplitude(proj, f[None])]
+    kernel(f, steps, *args, observe=lambda block: amps.append(amplitude(proj, block)))
+    return k, np.concatenate(amps)
 
 
 def _plane_wave_amplitudes(
@@ -663,7 +664,8 @@ def measure_diffusivity(
         kernels.d1q3_run, (closures, settings, exp.variant, exp.zeta),
         lambda wave: from_moments(basis, equilibrium_d1q3(exp.variant, wave, exp.zeta)),
         (n,), mode, steps,
-        lambda proj, f: proj @ (f[0] + f[1] + f[2]),
+        # One 1-D product per step: a batched one may round differently.
+        lambda proj, f: np.array([proj @ rho for rho in f[:, 0] + f[:, 1] + f[:, 2]]),
     )
     return _decay_rate(amps, skip) / (k * k)
 
@@ -688,8 +690,8 @@ def measure_viscosity(
     """
 
     def amplitude(proj, f):
-        jy = (f[2] + f[5] + f[6]) - (f[4] + f[7] + f[8])
-        return float(np.sum(proj * jy))
+        jy = (f[:, 2] + f[:, 5] + f[:, 6]) - (f[:, 4] + f[:, 7] + f[:, 8])
+        return np.sum(proj * jy, axis=(1, 2))
 
     k, amps = _plane_wave_amplitudes(
         2, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps
@@ -717,18 +719,13 @@ def measure_sound_speed(
     (4 + alpha) / 6 used to convert pressure drops to density offsets.
     """
     k, amps = _plane_wave_amplitudes(
-        0, lambda proj, f: float(np.sum(proj * f.sum(axis=0))),
+        0, lambda proj, f: np.sum(proj * f.sum(axis=1), axis=(1, 2)),
         sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps,
     )
 
-    crossings = []
-    for t in range(steps):
-        a, b = amps[t], amps[t + 1]
-        if a == 0.0 or a * b >= 0.0:
-            continue
-        if max(abs(a), abs(b)) < 1e-10:
-            continue
-        crossings.append(t + a / (a - b))
+    a, b = amps[:-1], amps[1:]
+    t = np.flatnonzero((a * b < 0.0) & (np.maximum(np.abs(a), np.abs(b)) >= 1e-10))
+    crossings = t + a[t] / (a[t] - b[t])
     if len(crossings) < 4:
         raise MeasurementError(
             f"mode exhausted: only {len(crossings)} usable zero crossings"

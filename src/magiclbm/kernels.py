@@ -11,6 +11,12 @@ with their imposed scalars zeroed; ``b`` the stream of zeros through
 the closures as given.  A step is one product of ``[K c; -K -c]`` with
 ``[f; 1]`` and one gather.  Operators are built on first use and kept
 in small bounded caches, two lookups per call.
+
+Both lattices share one time loop, ``_march``, with the gather bound
+once before it.  An observer sees the states in blocks: the loop copies
+each state into the next row of a reused block of about
+``_OBSERVE_BYTES`` and hands the block over when it is full, and once
+more for the rest, so observing costs one call per block, not per step.
 """
 
 import functools
@@ -26,6 +32,10 @@ __all__ = ["d1q3_run", "d2q9_run"]
 
 # Body-force drivings of the plane kernel, named as the experiments name them.
 _FORCINGS = (None, "force-split-half", "force-population")
+
+# Size of the block of states an observer is handed at a time (at least one
+# state): small enough to stay in cache, large enough to amortise the call.
+_OBSERVE_BYTES = 1 << 18
 
 
 def _frozen(a):
@@ -91,13 +101,23 @@ def _march(f, steps, kc, idx, b, observe):
     post = np.empty((2 * q, state.shape[1]))
     flat = state[:q].reshape(-1)
     view = state[:q].reshape(f.shape)
+    take = post.reshape(-1).take
+    if observe is not None:
+        block = np.empty((max(1, min(steps, _OBSERVE_BYTES // f.nbytes)),) + f.shape)
+        rows = 0
     for _ in range(steps):
         np.matmul(kc, state, out=post)
-        np.take(post.reshape(-1), idx, out=flat, mode="clip")
+        take(idx, out=flat, mode="clip")
         if b is not None:
             flat += b
         if observe is not None:
-            observe(view)
+            block[rows] = view
+            rows += 1
+            if rows == len(block):
+                observe(block)
+                rows = 0
+    if observe is not None and rows:
+        observe(block[:rows])
     return view
 
 
@@ -108,9 +128,11 @@ def d1q3_run(f, steps, closures, settings, variant, zeta, source=0.0, *, observe
     (periodic or anti-bounce-back), ``settings`` the line rates,
     ``variant`` the moment basis ("a" or "b") and ``zeta`` its energy
     equilibrium coefficient.  ``source`` is the per-step density source,
-    added in two halves.  ``observe``, when given, is called after each
-    step with the current populations, a view it must neither keep nor
-    modify.
+    added in two halves.  ``observe``, when given, is called with the
+    states after the steps in order, as ``(m, 3, n)`` blocks of m >= 1
+    consecutive steps (all ``steps`` states over its calls, none when
+    ``steps`` is 0).  The block is reused: the observer must neither
+    keep nor modify it.
     """
     operator = _line_operator(variant, float(zeta), settings.s, float(source))
     idx, b = _stream_map(D1Q3, np.shape(f), closures, None, None)
@@ -127,7 +149,8 @@ def d2q9_run(
     density offset.  ``settings`` holds the nine rates, ``alpha, beta``
     the energy-row equilibrium coefficients.  ``driving`` says how the
     body force ``fx`` enters: "force-split-half", "force-population",
-    or None for no force.  ``observe`` is called as in ``d1q3_run``.
+    or None for no force.  ``observe`` is called as in ``d1q3_run``, with
+    ``(m, 9, ny, nx)`` blocks.
     """
     alpha, beta = float(alpha), float(beta)
     operator = _plane_operator(settings.s, alpha, beta, driving, float(fx))

@@ -635,16 +635,29 @@ def _one_step_sound_speed(alpha, beta, sigma5, sigma8, s_bulk, nx, ny, mode, ste
     return float(omega / k)
 
 
-@pytest.mark.parametrize("variant, zeta", [("a", 1.0 / 3.0), ("b", 1.0), ("b", 0.6)])
-def test_diffusivity_equals_the_one_step_loop(variant, zeta):
-    args = dict(n=32, mode=1, steps=300, skip=30)
-    got = measure_diffusivity(variant, 0.8, 0.3, zeta=zeta, **args)
-    assert got == _one_step_diffusivity(variant, 0.8, 0.3, zeta, **args)
+# The 64-node line and the 64x4 plane are the benchmark's grids (the line
+# at its rates): the observed blocks end in the middle of the 300 steps,
+# and a batched product per block would round the line's amplitudes
+# differently from the per-step one.
+@pytest.mark.parametrize(
+    "variant, zeta, n, sigma1, sigma2",
+    [("a", 1.0 / 3.0, 32, 0.8, 0.3), ("b", 1.0, 32, 0.8, 0.3), ("b", 0.6, 32, 0.8, 0.3),
+     ("a", 1.0 / 3.0, 64, 1.0, 0.125), ("b", 1.0, 64, 1.0, 0.375)],
+    ids=["a-0.3333333333333333", "b-1.0", "b-0.6", "a-n64", "b-n64"],
+)
+def test_diffusivity_equals_the_one_step_loop(variant, zeta, n, sigma1, sigma2):
+    args = dict(n=n, mode=1, steps=300, skip=30)
+    got = measure_diffusivity(variant, sigma1, sigma2, zeta=zeta, **args)
+    assert got == _one_step_diffusivity(variant, sigma1, sigma2, zeta, **args)
 
 
-@pytest.mark.parametrize("alpha, beta", [(-2.0, 1.0), (-2.5, 2.5)])
-def test_viscosity_equals_the_one_step_loop(alpha, beta):
-    args = dict(s_bulk=1.3, nx=16, ny=3, mode=1, steps=300, skip=30)
+@pytest.mark.parametrize(
+    "alpha, beta, nx, ny",
+    [(-2.0, 1.0, 16, 3), (-2.5, 2.5, 16, 3), (-2.0, 1.0, 64, 4)],
+    ids=["-2.0-1.0", "-2.5-2.5", "-2.0-1.0-64x4"],
+)
+def test_viscosity_equals_the_one_step_loop(alpha, beta, nx, ny):
+    args = dict(s_bulk=1.3, nx=nx, ny=ny, mode=1, steps=300, skip=30)
     got = measure_viscosity(0.4, 0.9, alpha=alpha, beta=beta, **args)
     assert got == _one_step_viscosity(0.4, 0.9, alpha, beta, **args)
 
@@ -653,6 +666,33 @@ def test_sound_speed_equals_the_one_step_loop():
     args = dict(sigma5=0.6, sigma8=0.9, s_bulk=1.2, nx=16, ny=3, mode=1, steps=400)
     got = measure_sound_speed(alpha=-1.0, beta=0.5, **args)
     assert got == _one_step_sound_speed(-1.0, 0.5, **args)
+
+
+def test_transport_measurements_observe_in_few_blocks(monkeypatch):
+    # The benchmark's transport round: 6,000 observed steps, which a
+    # per-step observer read in 6,000 calls.
+    blocks = []
+
+    def counting(name):
+        real = getattr(kernels, name)
+
+        def run(*args, observe, **kwargs):
+            def counted(block):
+                blocks.append(len(block))
+                observe(block)
+
+            return real(*args, observe=counted, **kwargs)
+
+        return run
+
+    for name in ("d1q3_run", "d2q9_run"):
+        monkeypatch.setattr(kernels, name, counting(name))
+    args = dict(mode=1, steps=2000, skip=200)
+    measure_diffusivity("a", 1.0, 0.125, zeta=1.0 / 3.0, n=64, **args)
+    measure_diffusivity("b", 1.0, 0.375, zeta=1.0, n=64, **args)
+    measure_viscosity(0.375, 1.0, alpha=-2.0, beta=1.0, nx=64, ny=4, **args)
+    assert sum(blocks) == 6000
+    assert len(blocks) <= 200
 
 
 def test_exhausted_mode_raises_measurement_error():

@@ -33,6 +33,7 @@ from magiclbm.collision import (
     relaxation_d1q3,
     relaxation_d2q9,
 )
+from magiclbm import kernels
 from magiclbm.kernels import d1q3_run, d2q9_run
 from magiclbm.lattice import (
     D1Q3,
@@ -294,20 +295,25 @@ OBSERVED_CASES = {
 
 
 @pytest.mark.parametrize("case", list(OBSERVED_CASES))
-def test_observed_march_equals_chained_one_step_calls(case):
-    # The observer sees each of the n states once, bitwise the state the
-    # chained one-step calls reach, and the march ends on the last one.
+def test_observed_march_equals_chained_one_step_calls(case, monkeypatch):
+    # The observer gets the n states in order, in blocks that fill the byte
+    # budget (one state at least) and a last partial one, bitwise the states
+    # the chained one-step calls reach; the march ends on the last one.
     shape, run = OBSERVED_CASES[case]
     f = np.random.default_rng(64).normal(size=shape)
-    seen = []
-    got = run(f, 12, observe=lambda view: seen.append(view.copy()))
-    assert len(seen) == 12
-    chained = f
-    for state in seen:
-        chained = run(chained, 1)
-        assert np.array_equal(state, chained)
-    assert np.array_equal(got, chained)
-    assert np.array_equal(run(f, 12), got)
+    for states, sizes in ((3.5, [3, 3, 3, 3, 1]), (0.5, [1] * 13)):
+        budget = int(states * f.nbytes)
+        monkeypatch.setattr(kernels, "_OBSERVE_BYTES", budget)
+        blocks = []
+        got = run(f, 13, observe=lambda block: blocks.append(block.copy()))
+        assert [len(block) for block in blocks] == sizes
+        assert all(block.nbytes <= max(budget, f.nbytes) for block in blocks)
+        chained = f
+        for state in np.concatenate(blocks):
+            chained = run(chained, 1)
+            assert np.array_equal(state, chained)
+        assert np.array_equal(got, chained)
+        assert np.array_equal(run(f, 13), got)
     calls = []
     assert np.array_equal(run(f, 0, observe=calls.append), f)
     assert calls == []
