@@ -664,8 +664,9 @@ def measure_diffusivity(
         kernels.d1q3_run, (closures, settings, exp.variant, exp.zeta),
         lambda wave: from_moments(basis, equilibrium_d1q3(exp.variant, wave, exp.zeta)),
         (n,), mode, steps,
-        # One 1-D product per step: a batched one may round differently.
-        lambda proj, f: np.array([proj @ rho for rho in f[:, 0] + f[:, 1] + f[:, 2]]),
+        # vecdot runs the 1-D dot of ``proj @ rho`` on each row, so every
+        # amplitude keeps its bits; a gemv of the block rounds differently.
+        lambda proj, f: np.vecdot(f[:, 0] + f[:, 1] + f[:, 2], proj),
     )
     return _decay_rate(amps, skip) / (k * k)
 

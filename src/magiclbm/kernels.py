@@ -8,9 +8,13 @@ affine in the populations, so a step is ``f <- sign * (K f + c)[idx] + b``.
 helpers, ``from_moments``) applied to unit vectors and to zero; ``idx,
 sign`` the ``lattice.stream`` of an index field through the closures
 with their imposed scalars zeroed; ``b`` the stream of zeros through
-the closures as given.  A step is one product of ``[K c; -K -c]`` with
-``[f; 1]`` and one gather.  Operators are built on first use and kept
-in small bounded caches, two lookups per call.
+the closures as given.  A step is one product and one gather, and the
+product holds only the operator rows the gather reads: ``[K c]`` times
+``[f; 1]``, with ``c`` and the row of ones left out when ``c`` is zero
+(no source or force), and ``[-K -c]`` stacked below only when the stream
+map pulls a negated population (anti-bounce-back).  A periodic line or
+plane without driving multiplies by ``K`` alone.  Operators are built on
+first use and kept in small bounded caches, two lookups per call.
 
 Both lattices share one time loop, ``_march``, with the gather bound
 once before it.  An observer sees the states in blocks: the loop copies
@@ -43,25 +47,31 @@ def _frozen(a):
     return a
 
 
-def _affine(collide, q):
-    """``[K c; -K -c]`` of a collision, from q unit vectors plus zero."""
+def _affine(collide, q, signed):
+    """The rows of ``[K c; -K -c]`` of a collision that a gather reads.
+
+    ``K, c`` come from q unit vectors plus zero.  The column ``c`` is kept
+    only when it is nonzero (the step then multiplies ``[f; 1]``), and
+    the negated rows only for a ``signed`` stream map.
+    """
     out = collide(np.eye(q, q + 1))
-    kc = np.hstack([out[:, :q] - out[:, q:], out[:, q:]])
-    return _frozen(np.vstack([kc, -kc]))
+    k, c = out[:, :q] - out[:, q:], out[:, q:]
+    kc = np.hstack([k, c]) if c.any() else k
+    return _frozen(np.vstack([kc, -kc]) if signed else kc)
 
 
 @functools.lru_cache(maxsize=64)
-def _line_operator(variant, zeta, s, source):
+def _line_operator(variant, zeta, s, source, signed):
     basis, settings = build_d1q3_basis(variant), col.RelaxationSettings(s)
     def collide(f):
         m = col.apply_diffusion_source(to_moments(basis, f), source, "pre")
         m = col.relax(m, col.equilibrium_d1q3(variant, m[0], zeta), settings)
         return from_moments(basis, col.apply_diffusion_source(m, source, "post"))
-    return _affine(collide, 3)
+    return _affine(collide, 3, signed)
 
 
 @functools.lru_cache(maxsize=64)
-def _plane_operator(s, alpha, beta, driving, fx):
+def _plane_operator(s, alpha, beta, driving, fx, signed):
     if driving not in _FORCINGS:
         raise ValueError(f"unknown driving {driving!r}, expected one of {_FORCINGS}")
     basis, settings = build_d2q9_basis(), col.RelaxationSettings(s)
@@ -75,12 +85,13 @@ def _plane_operator(s, alpha, beta, driving, fx):
         elif driving == "force-population":
             m = col.apply_force_population(m, fx)
         return from_moments(basis, m)
-    return _affine(collide, 9)
+    return _affine(collide, 9, signed)
 
 
 @functools.lru_cache(maxsize=16)
 def _stream_map(spec, shape, closures, alpha, beta):
-    """``idx`` into ``[post; -post]`` and the offset ``b`` (None when zero).
+    """``idx`` into ``[post; -post]``, the offset ``b`` (None when zero)
+    and whether any index pulls a negated population.
 
     The index field is streamed with the imposed scalars zeroed: an
     offset added to a pulled index would be truncated to a wrong one.
@@ -88,25 +99,27 @@ def _stream_map(spec, shape, closures, alpha, beta):
     probe = np.arange(1.0, np.prod(shape) + 1.0).reshape(shape)
     plain = [BoundaryClosure(c.face, c.kind) for c in closures]
     pulled = stream(spec, probe, plain, alpha, beta).ravel()
+    signed = pulled < 0
     idx = np.abs(pulled).astype(np.intp) - 1
-    idx = np.where(pulled < 0, idx + idx.size, idx)
+    idx = np.where(signed, idx + idx.size, idx)
     b = stream(spec, np.zeros(shape), closures, alpha, beta).ravel()
-    return _frozen(idx), (_frozen(b) if b.any() else None)
+    return _frozen(idx), (_frozen(b) if b.any() else None), bool(signed.any())
 
 
 def _march(f, steps, kc, idx, b, observe):
-    f, q = np.asarray(f, dtype=np.float64), kc.shape[1] - 1
-    state = np.ones((q + 1, f.size // q))
+    f = np.asarray(f, dtype=np.float64)
+    q = len(f)
+    state = np.ones((kc.shape[1], f.size // q))
     state[:q] = f.reshape(q, -1)
-    post = np.empty((2 * q, state.shape[1]))
+    post = np.empty((len(kc), state.shape[1]))
     flat = state[:q].reshape(-1)
     view = state[:q].reshape(f.shape)
-    take = post.reshape(-1).take
+    dot, take = np.dot, post.reshape(-1).take
     if observe is not None:
         block = np.empty((max(1, min(steps, _OBSERVE_BYTES // f.nbytes)),) + f.shape)
         rows = 0
     for _ in range(steps):
-        np.matmul(kc, state, out=post)
+        dot(kc, state, post)
         take(idx, out=flat, mode="clip")
         if b is not None:
             flat += b
@@ -134,8 +147,8 @@ def d1q3_run(f, steps, closures, settings, variant, zeta, source=0.0, *, observe
     ``steps`` is 0).  The block is reused: the observer must neither
     keep nor modify it.
     """
-    operator = _line_operator(variant, float(zeta), settings.s, float(source))
-    idx, b = _stream_map(D1Q3, np.shape(f), closures, None, None)
+    idx, b, signed = _stream_map(D1Q3, np.shape(f), closures, None, None)
+    operator = _line_operator(variant, float(zeta), settings.s, float(source), signed)
     return _march(f, int(steps), operator, idx, b, observe)
 
 
@@ -153,6 +166,6 @@ def d2q9_run(
     ``(m, 9, ny, nx)`` blocks.
     """
     alpha, beta = float(alpha), float(beta)
-    operator = _plane_operator(settings.s, alpha, beta, driving, float(fx))
-    idx, b = _stream_map(D2Q9, np.shape(f), closures, alpha, beta)
+    idx, b, signed = _stream_map(D2Q9, np.shape(f), closures, alpha, beta)
+    operator = _plane_operator(settings.s, alpha, beta, driving, float(fx), signed)
     return _march(f, int(steps), operator, idx, b, observe)

@@ -466,9 +466,22 @@ ROOT_SEARCHES = {
 PRODUCT_TOL = 1e-5
 
 
+def operator_shapes(patch):
+    """Record the shape of the operator every kernel march multiplies by."""
+    shapes, march = [], kernels._march
+
+    def recorded(f, steps, kc, *args):
+        shapes.append(kc.shape)
+        return march(f, steps, kc, *args)
+
+    patch.setattr(kernels, "_march", recorded)
+    return shapes
+
+
 @functools.cache
 def logged_root_search(name):
-    """One benchmark search, with every march's experiment, state and steps."""
+    """One benchmark search, with every march's experiment, state and steps,
+    and the set of operator shapes its kernel marches used."""
     marches = []
 
     def logged(exp, init=None):
@@ -479,13 +492,14 @@ def logged_root_search(name):
     exp = ROOT_SEARCHES[name]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "run_to_steady", logged)
+        shapes = operator_shapes(patch)
         sweep = find_magic_root(exp, product_tol=PRODUCT_TOL)
-    return exp, sweep, marches
+    return exp, sweep, marches, set(shapes)
 
 
 @pytest.fixture(scope="module", params=sorted(ROOT_SEARCHES))
 def root_search(request):
-    exp, sweep, _ = logged_root_search(request.param)
+    exp, sweep, _, _ = logged_root_search(request.param)
     return exp, sweep
 
 
@@ -495,6 +509,19 @@ def test_root_searches_march_few_steps():
         steps for name in ROOT_SEARCHES for _, _, steps in logged_root_search(name)[2]
     )
     assert total <= 8000
+
+
+def test_root_searches_multiply_only_the_operator_rows_they_read():
+    # Anti-bounce-back lines read the negated rows and add the source;
+    # split-half walls are unsigned but forced; the pressure faces are
+    # signed, and their offset enters after the gather.
+    shapes = {name: logged_root_search(name)[3] for name in ROOT_SEARCHES}
+    assert shapes == {
+        "line-a": {(6, 4)},
+        "line-b": {(6, 4)},
+        "split-half": {(9, 10)},
+        "pressure": {(18, 9)},
+    }
 
 
 @pytest.mark.parametrize("name", sorted(ROOT_SEARCHES))
@@ -637,8 +664,8 @@ def _one_step_sound_speed(alpha, beta, sigma5, sigma8, s_bulk, nx, ny, mode, ste
 
 # The 64-node line and the 64x4 plane are the benchmark's grids (the line
 # at its rates): the observed blocks end in the middle of the 300 steps,
-# and a batched product per block would round the line's amplitudes
-# differently from the per-step one.
+# and a gemv per block would round the line's amplitudes differently
+# from the per-step product, which the vecdot per block does not.
 @pytest.mark.parametrize(
     "variant, zeta, n, sigma1, sigma2",
     [("a", 1.0 / 3.0, 32, 0.8, 0.3), ("b", 1.0, 32, 0.8, 0.3), ("b", 0.6, 32, 0.8, 0.3),
@@ -666,6 +693,29 @@ def test_sound_speed_equals_the_one_step_loop():
     args = dict(sigma5=0.6, sigma8=0.9, s_bulk=1.2, nx=16, ny=3, mode=1, steps=400)
     got = measure_sound_speed(alpha=-1.0, beta=0.5, **args)
     assert got == _one_step_sound_speed(-1.0, 0.5, **args)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 100, 128])
+def test_vecdot_rounds_like_the_one_dimensional_product(n):
+    # measure_diffusivity reads a block's line amplitudes with one vecdot;
+    # it must give each row the bits of the per-step ``proj @ rho``.
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(300, n))
+    for proj in (2.0 / n * np.sin(2.0 * np.pi * np.arange(n) / n), rng.normal(size=n)):
+        expect = np.array([proj @ rho for rho in rows])
+        assert np.array_equal(np.vecdot(rows, proj), expect)
+
+
+def test_transport_measurements_multiply_only_the_operator_rows_they_read(
+    monkeypatch,
+):
+    # Periodic lines and planes without a source or force: the plain K.
+    shapes = operator_shapes(monkeypatch)
+    args = dict(mode=1, steps=2000, skip=200)
+    measure_diffusivity("a", 1.0, 0.125, zeta=1.0 / 3.0, n=64, **args)
+    measure_diffusivity("b", 1.0, 0.375, zeta=1.0, n=64, **args)
+    measure_viscosity(0.375, 1.0, alpha=-2.0, beta=1.0, nx=64, ny=4, **args)
+    assert shapes == [(3, 3), (3, 3), (9, 9)]
 
 
 def test_transport_measurements_observe_in_few_blocks(monkeypatch):

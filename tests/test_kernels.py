@@ -52,15 +52,23 @@ ZETA = {"a": 1.0 / 3.0, "b": 1.0}
 # ---------------------------------------------------------------------------
 
 
-def _reference_line_step(f, variant, sigma1, sigma2, zeta, source, closures):
+def _reference_line_collision(variant, sigma1, sigma2, zeta, source):
     basis = build_d1q3_basis(variant)
     settings = relaxation_d1q3(sigma1, sigma2)
-    m = to_moments(basis, f)
-    m = apply_diffusion_source(m, source, "pre")
-    meq = equilibrium_d1q3(variant, m[0], zeta)
-    m = relax(m, meq, settings)
-    m = apply_diffusion_source(m, source, "post")
-    fstar = from_moments(basis, m)
+
+    def collide(f):
+        m = to_moments(basis, f)
+        m = apply_diffusion_source(m, source, "pre")
+        meq = equilibrium_d1q3(variant, m[0], zeta)
+        m = relax(m, meq, settings)
+        m = apply_diffusion_source(m, source, "post")
+        return from_moments(basis, m)
+
+    return collide
+
+
+def _reference_line_step(f, variant, sigma1, sigma2, zeta, source, closures):
+    fstar = _reference_line_collision(variant, sigma1, sigma2, zeta, source)(f)
     return stream(D1Q3, fstar, closures)
 
 
@@ -76,19 +84,27 @@ def test_line_kernel_matches_composed_step(variant, periodic):
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
 
 
-def _reference_plane_step(f, sigma5, sigma8, alpha, beta, fx, driving, closures):
+def _reference_plane_collision(sigma5, sigma8, alpha, beta, fx, driving):
     basis = build_d2q9_basis()
     settings = relaxation_d2q9(sigma5, sigma8)
-    m = to_moments(basis, f)
-    if driving == "force-split-half":
-        m = apply_force_split_half(m, fx, "pre")
-    meq = equilibrium_d2q9(m[0], m[1], m[2], alpha, beta)
-    m = relax(m, meq, settings)
-    if driving == "force-split-half":
-        m = apply_force_split_half(m, fx, "post")
-    elif driving == "force-population":
-        m = apply_force_population(m, fx)
-    fstar = from_moments(basis, m)
+
+    def collide(f):
+        m = to_moments(basis, f)
+        if driving == "force-split-half":
+            m = apply_force_split_half(m, fx, "pre")
+        meq = equilibrium_d2q9(m[0], m[1], m[2], alpha, beta)
+        m = relax(m, meq, settings)
+        if driving == "force-split-half":
+            m = apply_force_split_half(m, fx, "post")
+        elif driving == "force-population":
+            m = apply_force_population(m, fx)
+        return from_moments(basis, m)
+
+    return collide
+
+
+def _reference_plane_step(f, sigma5, sigma8, alpha, beta, fx, driving, closures):
+    fstar = _reference_plane_collision(sigma5, sigma8, alpha, beta, fx, driving)(f)
     return stream(D2Q9, fstar, closures, alpha=alpha, beta=beta)
 
 
@@ -158,17 +174,19 @@ STEPS = 64
 MARCH_ATOL = STEPS * 16 * np.finfo(np.float64).eps
 
 
-def _line_call(f, steps, variant, sigma1, sigma2, closures, observe=None):
+def _line_call(
+    f, steps, variant, sigma1, sigma2, closures, source=1e-6, observe=None
+):
     settings = relaxation_d1q3(sigma1, sigma2)
     return d1q3_run(
-        f, steps, closures, settings, variant, ZETA[variant], 1e-6, observe=observe
+        f, steps, closures, settings, variant, ZETA[variant], source, observe=observe
     )
 
 
-def _line_reference(f, steps, variant, sigma1, sigma2, closures):
+def _line_reference(f, steps, variant, sigma1, sigma2, closures, source=1e-6):
     for _ in range(steps):
         f = _reference_line_step(
-            f, variant, sigma1, sigma2, ZETA[variant], 1e-6, closures
+            f, variant, sigma1, sigma2, ZETA[variant], source, closures
         )
     return f
 
@@ -208,22 +226,25 @@ def test_plane_march_tracks_composed_steps_on_non_square_grid(case):
 
 def test_operators_are_rebuilt_when_shape_codes_or_parameters_change():
     # Alternate every cache key in one process, twice over, so a cached
-    # operator, gather or offset served to the wrong call would show.
+    # operator, gather or offset served to the wrong call would show.  Each
+    # set of rates alternates between a signed map (anti-bounce-back,
+    # pressure) and an unsigned one, and between a zero and a nonzero
+    # constant column (a source or a force), which size the operator.
     rng = np.random.default_rng(72)
     for _ in range(2):
-        for n, case, sigmas in itertools.product(
-            (9, 14), list(LINE_CASES), ((0.9, 0.2), (0.4, 0.7))
+        for n, sigmas, case, source in itertools.product(
+            (9, 14), ((0.9, 0.2), (0.4, 0.7)), list(LINE_CASES), (1e-6, 0.0)
         ):
             f = rng.normal(size=(3, n))
             closures = LINE_CASES[case]
-            got = _line_call(f, 1, "a", *sigmas, closures)
-            expect = _line_reference(f, 1, "a", *sigmas, closures)
+            got = _line_call(f, 1, "a", *sigmas, closures, source)
+            expect = _line_reference(f, 1, "a", *sigmas, closures, source)
             assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
-        for shape, case, delta_rho, sigmas in itertools.product(
+        for shape, sigmas, case, delta_rho in itertools.product(
             ((9, 5, 7), (9, 6, 4)),
-            ("plane-split-half", "plane-pressure"),
-            (3e-6, 5e-6),
             ((0.3, 1.1), (0.7, 0.4)),
+            ("plane-split-half", "plane-pressure", "plane-periodic"),
+            (3e-6, 5e-6),
         ):
             f = rng.normal(size=shape)
             closures, driving = PLANE_CASES[case]
@@ -232,6 +253,103 @@ def test_operators_are_rebuilt_when_shape_codes_or_parameters_change():
             got = _plane_call(f, 1, *sigmas, closures, driving)
             expect = _plane_reference(f, 1, *sigmas, closures, driving)
             assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
+
+
+# The step multiplies only the operator rows its gather reads.  Below it is
+# checked bitwise against the stacked step it replaced: ``[K c; -K -c]``
+# times ``[f; 1]``, with ``K, c`` from the reference collision.  The cases
+# are the six closure families, then the benchmark's grids: the roots'
+# lines and channels at their rates, transport's line and plane.
+LEAN_LINE_CASES = {
+    "line-periodic": (13, periodic_line_closures(), "b", (0.9, 0.2), 1e-6),
+    "line-anti-bounce-back": (13, diffusion_closures(), "b", (0.9, 0.2), 1e-6),
+    "line-n32-anti-bounce-back": (32, diffusion_closures(), "a", (2.0, 0.0625), 1e-6),
+    "line-n64-periodic": (64, periodic_line_closures(), "a", (1.0, 0.125), 0.0),
+}
+
+LEAN_PLANE_CASES = {
+    **{
+        case: ((5, 8), closures, (0.3, 1.1), driving, 2e-6)
+        for case, (closures, driving) in PLANE_CASES.items()
+    },
+    "split-half-100x7": (
+        (7, 100), force_channel_closures(), (0.1875, 2.0), "force-split-half", 1e-6
+    ),
+    "population-20x11": (
+        (11, 20), force_channel_closures(), (0.09375, 2.0), "force-population", 1e-6
+    ),
+    "pressure-40x9": (
+        (9, 40), pressure_channel_closures(1e-6), (0.09375, 2.0), None, 0.0
+    ),
+    "periodic-64x4": ((4, 64), periodic_plane_closures(), (0.375, 1.0), None, 0.0),
+}
+
+LEAN_STEPS = 100
+
+
+def _stacked_operator(collide, q):
+    """``[K c; -K -c]`` of a collision, built whole."""
+    out = collide(np.eye(q, q + 1))
+    kc = np.hstack([out[:, :q] - out[:, q:], out[:, q:]])
+    return np.vstack([kc, -kc])
+
+
+def _assert_lean_step_equals_stacked_step(f, run, collide, monkeypatch):
+    # The kernel's operator, gather and offset, taken from its one march.
+    operands, states, march = [], [], kernels._march
+
+    def capture(f, steps, kc, idx, b, observe):
+        operands.append((kc, idx, b))
+        return march(f, steps, kc, idx, b, observe)
+
+    monkeypatch.setattr(kernels, "_march", capture)
+    run(f, LEAN_STEPS, observe=lambda block: states.extend(block.copy()))
+    [(kc, idx, b)] = operands
+    q = len(f)
+    # Negated rows only where the gather reads them; padded back with a
+    # zero column and the negated rows, the operator is the stacked one.
+    assert (len(kc) == 2 * q) == bool(idx.max() >= f.size)
+    top = kc[:q] if kc.shape[1] > q else np.hstack([kc[:q], np.zeros((q, 1))])
+    stacked = np.vstack([top, -top])
+    assert np.array_equal(stacked, _stacked_operator(collide, q))
+    state = np.ones((q + 1, f.size // q))
+    state[:q] = f.reshape(q, -1)
+    flat = state[:q].reshape(-1)
+    assert len(states) == LEAN_STEPS
+    for got in states:
+        np.matmul(stacked, state).reshape(-1).take(idx, out=flat, mode="clip")
+        if b is not None:
+            flat += b
+        assert np.array_equal(got, flat.reshape(f.shape))
+
+
+@pytest.mark.parametrize("case", list(LEAN_LINE_CASES))
+def test_lean_line_step_equals_the_stacked_step_bitwise(case, monkeypatch):
+    n, closures, variant, sigmas, source = LEAN_LINE_CASES[case]
+    f = np.random.default_rng(80).normal(size=(3, n))
+    _assert_lean_step_equals_stacked_step(
+        f,
+        lambda f, steps, **kw: _line_call(
+            f, steps, variant, *sigmas, closures, source, **kw
+        ),
+        _reference_line_collision(variant, *sigmas, ZETA[variant], source),
+        monkeypatch,
+    )
+
+
+@pytest.mark.parametrize("case", list(LEAN_PLANE_CASES))
+def test_lean_plane_step_equals_the_stacked_step_bitwise(case, monkeypatch):
+    shape, closures, sigmas, driving, fx = LEAN_PLANE_CASES[case]
+    f = np.random.default_rng(81).normal(size=(9,) + shape)
+    settings = relaxation_d2q9(*sigmas)
+    _assert_lean_step_equals_stacked_step(
+        f,
+        lambda f, steps, **kw: d2q9_run(
+            f, steps, closures, settings, -2.0, 1.0, driving, fx, **kw
+        ),
+        _reference_plane_collision(*sigmas, -2.0, 1.0, fx, driving),
+        monkeypatch,
+    )
 
 
 def test_operators_are_built_on_first_use_without_scipy():
