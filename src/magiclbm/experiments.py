@@ -152,7 +152,10 @@ class D2Q9Experiment:
 
     ``driving`` selects how momentum is injected: a split-half body
     force, a population-form body force (both with periodic ends), or a
-    pressure offset imposed at the end columns.
+    pressure offset imposed at the end columns.  A force-driven flow
+    depends on y alone, so ``run_to_steady`` marches one column of it and
+    ``nx`` does not change its result; a pressure-driven one marches the
+    whole ``ny`` by ``nx`` grid.
     """
 
     driving: str = "force-split-half"
@@ -273,27 +276,43 @@ def _march(run_chunk, f, criterion):
 def run_to_steady(exp, init=None):
     """March an experiment to steady state from rest (or a warm start).
 
+    A force channel is periodic along x and driven uniformly along it,
+    so a start uniform along x stays uniform bitwise: every node runs
+    the same operator column and the stream moves identical values onto
+    identical values.  Such a channel is therefore marched on one
+    ``(9, ny, 1)`` column and returned broadcast to ``(9, ny, nx)``;
+    ``nx`` does not change the result.  Pressure channels and lines
+    march their whole grid.
+
     Parameters
     ----------
     exp : D1Q3Experiment or D2Q9Experiment
     init : array, optional
-        Starting populations; zeros when omitted.
+        Starting populations; zeros when omitted.  On a force channel
+        every column must be the same: the periodic channel keeps
+        x-dependent invariants of its start that the steady-state check
+        cannot see, so a start whose columns differ is refused, not
+        reduced to its x-mean.
 
     Returns
     -------
-    (f, steps) : settled populations and the number of kernel steps
-        marched.  The windows are Anderson-accelerated (``_march``); f is
-        the end of the last window, the one whose relative change per
-        step fell below the criterion's tolerance.
+    (f, steps) : settled populations, a fresh array of the full shape,
+        and the number of kernel steps marched.  The windows are
+        Anderson-accelerated (``_march``); f is the end of the last
+        window, the one whose relative change per step fell below the
+        criterion's tolerance.
 
     Raises
     ------
+    ValueError
+        When ``init`` has another shape, or its columns differ on a
+        force channel.
     ConvergenceError
         When the criterion's step budget runs out first, or as soon as
         the relative change of a check is not finite (the march diverged).
     """
     if isinstance(exp, D1Q3Experiment):
-        shape = (3, exp.n)
+        shape = marched = (3, exp.n)
         closures = boundaries.diffusion_closures()
         settings = relaxation_d1q3(exp.sigma1, exp.sigma2)
 
@@ -305,6 +324,7 @@ def run_to_steady(exp, init=None):
     elif isinstance(exp, D2Q9Experiment):
         shape = (9, exp.ny, exp.nx)
         closures, driving = _channel(exp)
+        marched = shape if driving is None else (9, exp.ny, 1)
         settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
 
         def run_chunk(f, chunk):
@@ -316,13 +336,20 @@ def run_to_steady(exp, init=None):
         raise TypeError(f"unsupported experiment type {type(exp).__name__}")
 
     if init is None:
-        f = np.zeros(shape)
+        f = np.zeros(marched)
     else:
         f = np.asarray(init, dtype=np.float64)
         if f.shape != shape:
             raise ValueError(f"init shape {f.shape} does not match {shape}")
-        f = f.copy()
-    return _march(run_chunk, f, exp.criterion)
+        if marched != shape and np.any(f != f[..., :1]):
+            raise ValueError(
+                f"init of a {exp.driving} channel must be the same in every "
+                "column: the periodic channel keeps the x-dependence of its "
+                "start, which the steady-state check does not see"
+            )
+        f = f[..., : marched[-1]].copy()
+    f, steps = _march(run_chunk, f, exp.criterion)
+    return np.broadcast_to(f, shape).copy(), steps
 
 
 def density_profile(exp, f):
@@ -601,21 +628,21 @@ def _decay_rate(amplitudes, skip, floor=1e-12, min_samples=10):
     return -float(slope)
 
 
-def _wave_amplitudes(kernel, args, start, shape, mode, steps, amplitude):
+def _wave_amplitudes(kernel, args, start, n, mode, steps, amplitude):
     """Projection amplitudes of a periodic wave over one observed march.
 
-    The wave sin(k x), k = 2 pi mode / shape[-1], runs along the last
-    axis of ``shape`` and is tiled over the others; ``start(wave)`` gives
-    its equilibrium populations.  One ``kernel(f, steps, *args)`` call
+    The wave sin(k x), k = 2 pi mode / n, is a line of n values;
+    ``start(wave)`` gives its equilibrium populations, which for a plane
+    wave are one row of it (the wave is uniform across, so one row
+    marches as every row would).  One ``kernel(f, steps, *args)`` call
     marches them, and ``amplitude(proj, states)``, with the projection
-    ``proj = 2 wave / wave.size``, reads one amplitude per state of a
-    stack (the step on the leading axis): the initial state, then each
-    block the kernel observes.  Returns k and the ``steps + 1`` amplitudes.
+    ``proj = 2 wave / n``, reads one amplitude per state of a stack (the
+    step on the leading axis): the initial state, then each block the
+    kernel observes.  Returns k and the ``steps + 1`` amplitudes.
     """
-    n = shape[-1]
     k = 2.0 * np.pi * mode / n
-    wave = np.tile(np.sin(k * np.arange(n, dtype=np.float64)), shape[:-1] + (1,))
-    proj = 2.0 / wave.size * wave
+    wave = np.sin(k * np.arange(n, dtype=np.float64))
+    proj = 2.0 / n * wave
     f = start(wave)
     amps = [amplitude(proj, f[None])]
     kernel(f, steps, *args, observe=lambda block: amps.append(amplitude(proj, block)))
@@ -623,24 +650,26 @@ def _wave_amplitudes(kernel, args, start, shape, mode, steps, amplitude):
 
 
 def _plane_wave_amplitudes(
-    moment, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps
+    moment, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, mode, steps
 ):
-    """``_wave_amplitudes`` on the fully periodic plane.
+    """``_wave_amplitudes`` on one row of the fully periodic plane.
 
-    The wave is in the density (``moment`` 0) or in the transverse
-    momentum jy (``moment`` 2).
+    The wave runs along x and is uniform in y, so a ``(1, nx)`` row with
+    periodic faces marches it exactly as a taller plane would.  It is in
+    the density (``moment`` 0) or in the transverse momentum jy
+    (``moment`` 2).
     """
     basis = build_d2q9_basis()
 
     def start(wave):
-        rho_jx_jy = [np.zeros_like(wave)] * 3
-        rho_jx_jy[moment] = wave
+        rho_jx_jy = [np.zeros((1, nx))] * 3
+        rho_jx_jy[moment] = wave[None]
         return from_moments(basis, equilibrium_d2q9(*rho_jx_jy, alpha, beta))
 
     closures = boundaries.periodic_plane_closures()
     settings = relaxation_d2q9(sigma5, sigma8, s_bulk)
     return _wave_amplitudes(
-        kernels.d2q9_run, (closures, settings, alpha, beta), start, (ny, nx),
+        kernels.d2q9_run, (closures, settings, alpha, beta), start, nx,
         mode, steps, amplitude,
     )
 
@@ -663,7 +692,7 @@ def measure_diffusivity(
     k, amps = _wave_amplitudes(
         kernels.d1q3_run, (closures, settings, exp.variant, exp.zeta),
         lambda wave: from_moments(basis, equilibrium_d1q3(exp.variant, wave, exp.zeta)),
-        (n,), mode, steps,
+        n, mode, steps,
         # vecdot runs the 1-D dot of ``proj @ rho`` on each row, so every
         # amplitude keeps its bits; a gemv of the block rounds differently.
         lambda proj, f: np.vecdot(f[:, 0] + f[:, 1] + f[:, 2], proj),
@@ -687,7 +716,8 @@ def measure_viscosity(
 
     Transverse momentum jy = sin(k x) on a fully periodic plane decays
     like exp(-nu k^2 t); nu comes from a log-linear fit of the
-    projection amplitude.
+    projection amplitude.  The wave is uniform in y, so one row of the
+    plane is marched; ``ny`` is accepted and does not change the result.
     """
 
     def amplitude(proj, f):
@@ -695,7 +725,7 @@ def measure_viscosity(
         return np.sum(proj * jy, axis=(1, 2))
 
     k, amps = _plane_wave_amplitudes(
-        2, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps
+        2, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, mode, steps
     )
     return _decay_rate(amps, skip) / (k * k)
 
@@ -718,10 +748,12 @@ def measure_sound_speed(
     projection amplitude (linearly interpolated), and c = omega / k is
     returned.  Validates the squared-sound-speed convention
     (4 + alpha) / 6 used to convert pressure drops to density offsets.
+    As in ``measure_viscosity``, one row of the plane is marched and
+    ``ny`` does not change the result.
     """
     k, amps = _plane_wave_amplitudes(
         0, lambda proj, f: np.sum(proj * f.sum(axis=1), axis=(1, 2)),
-        sigma5, sigma8, s_bulk, alpha, beta, nx, ny, mode, steps,
+        sigma5, sigma8, s_bulk, alpha, beta, nx, mode, steps,
     )
 
     a, b = amps[:-1], amps[1:]

@@ -381,6 +381,61 @@ def test_kernel_calls_go_through_the_module_with_f_and_steps_first(monkeypatch):
         assert type(args[1]) is int
 
 
+def test_marches_run_on_the_cells_they_can_differ_on(monkeypatch):
+    # Force channels and plane waves are uniform along a periodic axis, so
+    # the kernel sees one column or one row; a pressure channel is not.
+    shapes = []
+    real = kernels.d2q9_run
+
+    def record(f, *args, **kwargs):
+        shapes.append(f.shape)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "d2q9_run", record)
+    quick = SteadyStateCriterion(tolerance=1.0, check_every=10, max_steps=10)
+    for driving in DRIVING_TAGS:
+        exp = D2Q9Experiment(driving=driving, nx=6, ny=5, criterion=quick)
+        f, _ = run_to_steady(exp)
+        assert f.shape == (9, 5, 6)
+        assert np.all(f == f[..., :1]) == (driving != "pressure")
+    measure_viscosity(0.375, 1.0, nx=8, ny=4, steps=20, skip=2)
+    measure_sound_speed(nx=8, ny=3, steps=40)
+    assert shapes == [(9, 5, 1), (9, 5, 1), (9, 5, 6), (9, 1, 8), (9, 1, 8)]
+
+
+@pytest.mark.parametrize("driving", ["force-split-half", "force-population"])
+def test_force_column_settles_as_the_full_grid_does(driving):
+    # The reference marches all 100 columns through the same accelerated
+    # window loop; only Anderson's least squares over the longer residual
+    # rounds differently.
+    exp = D2Q9Experiment(driving=driving, nx=100, ny=21)
+    closures = boundaries.force_channel_closures()
+    settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
+
+    def run_chunk(f, chunk):
+        return kernels.d2q9_run(
+            f, chunk, closures, settings, exp.alpha, exp.beta, driving, exp.fx
+        )
+
+    g, grid_steps = experiments._march(run_chunk, np.zeros((9, 21, 100)), exp.criterion)
+    f, steps = run_to_steady(exp)
+    assert f.shape == g.shape
+    assert np.all(f == f[..., :1])
+    assert steps == grid_steps
+    assert wall_offset(exp, f).delta_q == pytest.approx(
+        wall_offset(exp, g).delta_q, abs=1e-14
+    )
+
+
+def test_force_channel_refuses_a_start_whose_columns_differ():
+    # The periodic channel keeps the x-dependence of such a start, which
+    # the window check does not see, so it is refused rather than averaged.
+    exp = D2Q9Experiment(driving="force-split-half", nx=8, ny=7)
+    noise = 1e-5 * np.random.default_rng(1).normal(size=(9, 7, 8))
+    with pytest.raises(ValueError, match="same in every column"):
+        run_to_steady(exp, init=noise)
+
+
 def test_criterion_validates_its_fields():
     with pytest.raises(ConfigurationError):
         SteadyStateCriterion(tolerance=-1.0)
@@ -559,6 +614,19 @@ def test_root_search_samples_match_cold_starts(root_search):
         cold = replace(exp, **dict(zip(names, (sigma_a, sigma_b))))
         f, _ = run_to_steady(cold)
         assert wall_offset(cold, f).delta_q == pytest.approx(delta_q, abs=1e-10)
+
+
+def test_pressure_root_error_falls_with_channel_length():
+    # wall_offset reads the middle column; a short channel's end layers
+    # reach it and shift the root.  Measured: 1.4e-2, 9.9e-7, 1.0e-11.
+    errors = [
+        abs(find_magic_root(
+            D2Q9Experiment(driving="pressure", nx=nx, ny=ny, sigma8=2.0),
+            product_tol=1e-8,
+        ).root - predict_magic("pressure", -2.0, 1.0))
+        for nx, ny in [(20, 11), (40, 9), (80, 9)]
+    ]
+    assert errors[0] > errors[1] > errors[2]
 
 
 # ---------------------------------------------------------------------------

@@ -491,3 +491,33 @@ def test_uniform_rest_state_is_fixed_in_walled_channel():
         f, 50, force_channel_closures(), relaxation_d2q9(0.375, 1.0), -2.0, 1.0
     )
     assert np.max(np.abs(out - f)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Invariant directions: a state uniform along a periodic, uniformly driven
+# axis stays uniform bitwise, so one column (or row) marches as the grid does
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("driving", ["force-split-half", "force-population"])
+@pytest.mark.parametrize("ny, nx", [(7, 100), (21, 20)], ids=["100x7", "20x21"])
+def test_force_channel_from_rest_marches_as_one_column(driving, ny, nx):
+    args = (force_channel_closures(), relaxation_d2q9(0.375, 1.0), -2.0, 1.0,
+            driving, 1e-6)
+    grid = d2q9_run(np.zeros((9, ny, nx)), 700, *args)
+    column = d2q9_run(np.zeros((9, ny, 1)), 700, *args)
+    assert np.any(column != 0.0)
+    assert np.array_equal(grid, np.broadcast_to(column, grid.shape))
+
+
+@pytest.mark.parametrize("moment", [0, 2], ids=["density", "jy"])
+@pytest.mark.parametrize("ny, nx", [(4, 64), (3, 16)], ids=["64x4", "16x3"])
+def test_wave_uniform_in_y_marches_as_one_row(moment, ny, nx):
+    wave = np.sin(2.0 * np.pi / nx * np.arange(nx, dtype=np.float64))
+    fields = [np.zeros((ny, nx))] * 3
+    fields[moment] = np.tile(wave, (ny, 1))
+    f = from_moments(build_d2q9_basis(), equilibrium_d2q9(*fields, -2.0, 1.0))
+    args = (periodic_plane_closures(), relaxation_d2q9(0.4, 0.9, 1.3), -2.0, 1.0)
+    grid = d2q9_run(f, 300, *args)
+    row = d2q9_run(f[:, :1], 300, *args)
+    assert np.array_equal(grid, np.broadcast_to(row, grid.shape))
