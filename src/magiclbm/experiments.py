@@ -34,7 +34,8 @@ from .errors import (
     MeasurementError,
 )
 from .fitting import fit_parabola, wall_location
-from .lattice import build_d1q3_basis, build_d2q9_basis, from_moments
+from .lattice import D2Q9, build_d1q3_basis, build_d2q9_basis, from_moments
+from .lattice import mirror_fold
 
 __all__ = [
     "SteadyStateCriterion",
@@ -152,10 +153,11 @@ class D2Q9Experiment:
 
     ``driving`` selects how momentum is injected: a split-half body
     force, a population-form body force (both with periodic ends), or a
-    pressure offset imposed at the end columns.  A force-driven flow
-    depends on y alone, so ``run_to_steady`` marches one column of it and
-    ``nx`` does not change its result; a pressure-driven one marches the
-    whole ``ny`` by ``nx`` grid.
+    pressure offset imposed at the end columns.  The channel is
+    symmetric about its mid-line, so ``run_to_steady`` marches its lower
+    ``(ny + 1) // 2`` rows.  A force-driven flow also depends on y alone,
+    so it is marched as one column of those rows and ``nx`` does not
+    change its result; a pressure-driven one marches all ``nx`` columns.
     """
 
     driving: str = "force-split-half"
@@ -276,23 +278,29 @@ def _march(run_chunk, f, criterion):
 def run_to_steady(exp, init=None):
     """March an experiment to steady state from rest (or a warm start).
 
-    A force channel is periodic along x and driven uniformly along it,
-    so a start uniform along x stays uniform bitwise: every node runs
-    the same operator column and the stream moves identical values onto
-    identical values.  Such a channel is therefore marched on one
-    ``(9, ny, 1)`` column and returned broadcast to ``(9, ny, nx)``;
-    ``nx`` does not change the result.  Pressure channels and lines
-    march their whole grid.
+    A channel lies between two equal walls and is driven uniformly
+    across, so a start symmetric about the mid-line stays symmetric: only
+    its lower ``h = (ny + 1) // 2`` rows are marched (``kernels.d2q9_run``
+    with ``ny``), and the upper rows are their mirror image.  A force
+    channel is also periodic along x and driven uniformly along it, so a
+    start uniform along x stays uniform bitwise: every node runs the same
+    operator column and the stream moves identical values onto identical
+    values.  A pressure channel therefore marches ``(9, h, nx)``, a force
+    channel one ``(9, h, 1)`` column, and ``nx`` does not change a force
+    channel's result.  Either is returned mirror-extended, and broadcast
+    along x, to ``(9, ny, nx)``.  Lines march their whole grid.
 
     Parameters
     ----------
     exp : D1Q3Experiment or D2Q9Experiment
     init : array, optional
-        Starting populations; zeros when omitted.  On a force channel
-        every column must be the same: the periodic channel keeps
-        x-dependent invariants of its start that the steady-state check
-        cannot see, so a start whose columns differ is refused, not
-        reduced to its x-mean.
+        Starting populations; zeros when omitted.  On a channel it must
+        be mirror-symmetric about the mid-line, bitwise, since its upper
+        half is not marched; the linear interpolation of settled states
+        is.  On a force channel every column must be the same too: the
+        periodic channel keeps x-dependent invariants of its start that
+        the steady-state check cannot see, so a start whose columns
+        differ is refused, not reduced to its x-mean.
 
     Returns
     -------
@@ -305,8 +313,8 @@ def run_to_steady(exp, init=None):
     Raises
     ------
     ValueError
-        When ``init`` has another shape, or its columns differ on a
-        force channel.
+        When ``init`` has another shape, is not mirror-symmetric on a
+        channel, or its columns differ on a force channel.
     ConvergenceError
         When the criterion's step budget runs out first, or as soon as
         the relative change of a check is not finite (the march diverged).
@@ -324,12 +332,13 @@ def run_to_steady(exp, init=None):
     elif isinstance(exp, D2Q9Experiment):
         shape = (9, exp.ny, exp.nx)
         closures, driving = _channel(exp)
-        marched = shape if driving is None else (9, exp.ny, 1)
+        marched = (9, (exp.ny + 1) // 2, exp.nx if driving is None else 1)
         settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
 
         def run_chunk(f, chunk):
             return kernels.d2q9_run(
-                f, chunk, closures, settings, exp.alpha, exp.beta, driving, exp.fx
+                f, chunk, closures, settings, exp.alpha, exp.beta, driving, exp.fx,
+                ny=exp.ny,
             )
 
     else:
@@ -341,14 +350,21 @@ def run_to_steady(exp, init=None):
         f = np.asarray(init, dtype=np.float64)
         if f.shape != shape:
             raise ValueError(f"init shape {f.shape} does not match {shape}")
-        if marched != shape and np.any(f != f[..., :1]):
+        if marched[-1] != shape[-1] and np.any(f != f[..., :1]):
             raise ValueError(
                 f"init of a {exp.driving} channel must be the same in every "
                 "column: the periodic channel keeps the x-dependence of its "
                 "start, which the steady-state check does not see"
             )
-        f = f[..., : marched[-1]].copy()
+        if marched != shape and np.any(f != f[mirror_fold(D2Q9, exp.ny)]):
+            raise ValueError(
+                f"init of a {exp.driving} channel must be mirror-symmetric "
+                "about the mid-line: only its lower half is marched"
+            )
+        f = f[tuple(slice(n) for n in marched)].copy()
     f, steps = _march(run_chunk, f, exp.criterion)
+    if marched != shape:
+        f = f[mirror_fold(D2Q9, exp.ny)]
     return np.broadcast_to(f, shape).copy(), steps
 
 

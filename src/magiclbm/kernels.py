@@ -16,6 +16,13 @@ map pulls a negated population (anti-bounce-back).  A periodic line or
 plane without driving multiplies by ``K`` alone.  Operators are built on
 first use and kept in small bounded caches, two lookups per call.
 
+A field symmetric about its mid-line, as a channel between two equal
+walls is, marches on its lower ``(ny + 1) // 2`` rows: ``_mirror_map``
+cuts the full grid's ``idx`` and ``b`` to those rows and reads each
+source above the mid-line as its mirror image below it
+(``lattice.mirror_fold``), so the boundary physics stays that of
+``lattice.stream``.
+
 Both lattices share one time loop, ``_march``, with the gather bound
 once before it.  An observer sees the states in blocks: the loop copies
 each state into the next row of a reused block of about
@@ -30,7 +37,7 @@ import numpy as np
 from . import collision as col
 from .boundaries import BoundaryClosure
 from .lattice import D1Q3, D2Q9, build_d1q3_basis, build_d2q9_basis, stream
-from .lattice import from_moments, to_moments
+from .lattice import from_moments, mirror_fold, to_moments
 
 __all__ = ["d1q3_run", "d2q9_run"]
 
@@ -106,6 +113,30 @@ def _stream_map(spec, shape, closures, alpha, beta):
     return _frozen(idx), (_frozen(b) if b.any() else None), bool(signed.any())
 
 
+@functools.lru_cache(maxsize=16)
+def _mirror_map(nx, ny, closures, alpha, beta):
+    """``_stream_map`` of the lower ``(ny + 1) // 2`` rows of a
+    ``(9, ny, nx)`` field that is symmetric about its mid-line.
+
+    The full grid's map is kept for the outputs on those rows, and each
+    source is read where ``lattice.mirror_fold`` keeps its value: a
+    source above the mid-line as the reflected population below it.  The
+    fold covers an odd ``ny`` (mirror on the middle row) and an even one
+    (mirror between the two middle rows).
+    """
+    full, h = (D2Q9.q, ny, nx), (ny + 1) // 2
+    idx, b, _ = _stream_map(D2Q9, full, closures, alpha, beta)
+    idx = idx.reshape(full)[:, :h].ravel()
+    signed = idx >= np.prod(full)
+    j, y, x = np.unravel_index(idx % np.prod(full), full)
+    fold_j, fold_y = mirror_fold(D2Q9, ny)
+    idx = np.ravel_multi_index((fold_j[j, y], fold_y[j, y], x), (D2Q9.q, h, nx))
+    idx = idx + signed * idx.size
+    if b is not None:
+        b = _frozen(b.reshape(full)[:, :h].ravel())
+    return _frozen(idx), b, bool(signed.any())
+
+
 def _march(f, steps, kc, idx, b, observe):
     f = np.asarray(f, dtype=np.float64)
     q = len(f)
@@ -153,19 +184,33 @@ def d1q3_run(f, steps, closures, settings, variant, zeta, source=0.0, *, observe
 
 
 def d2q9_run(
-    f, steps, closures, settings, alpha, beta, driving=None, fx=0.0, *, observe=None
+    f, steps, closures, settings, alpha, beta, driving=None, fx=0.0, *, ny=None,
+    observe=None,
 ):
-    """March the plane scheme ``steps`` cycles; the (9, ny, nx) ``f`` is not modified.
+    """March the plane scheme ``steps`` cycles; the (9, rows, nx) ``f`` is not modified.
 
     ``closures`` is the tuple of west, east, south and north
     ``BoundaryClosure``; pressure-abb faces impose their ``scalar`` as a
     density offset.  ``settings`` holds the nine rates, ``alpha, beta``
     the energy-row equilibrium coefficients.  ``driving`` says how the
     body force ``fx`` enters: "force-split-half", "force-population",
-    or None for no force.  ``observe`` is called as in ``d1q3_run``, with
-    ``(m, 9, ny, nx)`` blocks.
+    or None for no force.  ``ny`` is the grid's full height, when ``f``
+    holds only its lower ``(ny + 1) // 2`` rows: the field is then taken
+    as mirror-symmetric about the mid-line (``_mirror_map``), which holds
+    for a symmetric start when the closures and the driving are
+    symmetric too, as in a channel.  ``observe`` is called as in
+    ``d1q3_run``, with ``(m, 9, rows, nx)`` blocks.
     """
     alpha, beta = float(alpha), float(beta)
-    idx, b, signed = _stream_map(D2Q9, np.shape(f), closures, alpha, beta)
+    _, rows, nx = np.shape(f)
+    if ny is None or ny == rows:
+        idx, b, signed = _stream_map(D2Q9, np.shape(f), closures, alpha, beta)
+    elif rows == (ny + 1) // 2:
+        idx, b, signed = _mirror_map(nx, int(ny), closures, alpha, beta)
+    else:
+        raise ValueError(
+            f"a field of {rows} rows is neither the full height {ny} nor its "
+            f"lower {(ny + 1) // 2} rows"
+        )
     operator = _plane_operator(settings.s, alpha, beta, driving, float(fx), signed)
     return _march(f, int(steps), operator, idx, b, observe)

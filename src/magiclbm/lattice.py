@@ -17,6 +17,8 @@ The code works in lattice units: grid spacing, time step and velocity
 scale are all 1.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -32,6 +34,7 @@ __all__ = [
     "to_moments",
     "from_moments",
     "stream",
+    "mirror_fold",
 ]
 
 
@@ -188,6 +191,27 @@ def from_moments(basis, m):
     """Map moments back to populations along the leading axis."""
     m = np.asarray(m, dtype=np.float64)
     return np.tensordot(basis.inverse, m, axes=(1, 0))
+
+
+@functools.lru_cache(maxsize=16)
+def mirror_fold(spec, ny):
+    """Where a plane field symmetric about its mid-line keeps each value.
+
+    Returns index arrays ``(j, y)``, each of shape ``(q, ny)``: population
+    ``j0`` on row ``y0`` of such a field equals population ``j[j0, y0]`` on
+    row ``y[j0, y0]``, which is one of the lower ``(ny + 1) // 2`` rows.  A
+    row above the mid-line is read as its mirror image: row ``ny - 1 - y0``,
+    population with ``vy`` negated.  On the middle row of an odd ``ny`` the
+    populations moving down are read as those moving up.
+    """
+    index = {v: j for j, v in enumerate(zip(spec.vx, spec.vy))}
+    mirror = np.array([index[vx, -vy] for vx, vy in zip(spec.vx, spec.vy)])
+    j, y = np.indices((spec.q, ny))
+    upper = (2 * y > ny - 1) | ((2 * y == ny - 1) & (spec.vy[j] < 0))
+    fold = np.where(upper, mirror[j], j), np.where(upper, ny - 1 - y, y)
+    for a in fold:
+        a.setflags(write=False)
+    return fold
 
 
 def _closure_map(closures, faces):

@@ -49,7 +49,14 @@ from magiclbm.experiments import (
     wall_offset,
 )
 from magiclbm.experiments import _decay_rate
-from magiclbm.lattice import build_d1q3_basis, build_d2q9_basis, from_moments
+from magiclbm.lattice import D2Q9, build_d1q3_basis, build_d2q9_basis, from_moments
+
+# The D2Q9 population with vy negated: a channel's mirror image about its
+# mid-line is f[MIRROR, ::-1].
+MIRROR = np.array([
+    next(k for k in range(9) if (D2Q9.vx[k], D2Q9.vy[k]) == (D2Q9.vx[j], -D2Q9.vy[j]))
+    for j in range(9)
+])
 
 # Small-grid stand-ins for the production channels.
 LINE = dict(n=16)
@@ -384,6 +391,8 @@ def test_kernel_calls_go_through_the_module_with_f_and_steps_first(monkeypatch):
 def test_marches_run_on_the_cells_they_can_differ_on(monkeypatch):
     # Force channels and plane waves are uniform along a periodic axis, so
     # the kernel sees one column or one row; a pressure channel is not.
+    # Every channel is symmetric about its mid-line, so the kernel sees its
+    # lower (ny + 1) // 2 rows.
     shapes = []
     real = kernels.d2q9_run
 
@@ -398,18 +407,18 @@ def test_marches_run_on_the_cells_they_can_differ_on(monkeypatch):
         f, _ = run_to_steady(exp)
         assert f.shape == (9, 5, 6)
         assert np.all(f == f[..., :1]) == (driving != "pressure")
+        assert np.any(f != 0.0)
+        assert np.array_equal(f, f[MIRROR, ::-1])
     measure_viscosity(0.375, 1.0, nx=8, ny=4, steps=20, skip=2)
     measure_sound_speed(nx=8, ny=3, steps=40)
-    assert shapes == [(9, 5, 1), (9, 5, 1), (9, 5, 6), (9, 1, 8), (9, 1, 8)]
+    assert shapes == [(9, 3, 1), (9, 3, 1), (9, 3, 6), (9, 1, 8), (9, 1, 8)]
 
 
-@pytest.mark.parametrize("driving", ["force-split-half", "force-population"])
-def test_force_column_settles_as_the_full_grid_does(driving):
-    # The reference marches all 100 columns through the same accelerated
-    # window loop; only Anderson's least squares over the longer residual
-    # rounds differently.
-    exp = D2Q9Experiment(driving=driving, nx=100, ny=21)
-    closures = boundaries.force_channel_closures()
+def full_grid_march(exp):
+    """``run_to_steady`` without its reductions: every node of the channel
+    marched from rest through the same accelerated window loop.  Only
+    Anderson's least squares over the longer residual rounds differently."""
+    closures, driving = experiments._channel(exp)
     settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
 
     def run_chunk(f, chunk):
@@ -417,7 +426,13 @@ def test_force_column_settles_as_the_full_grid_does(driving):
             f, chunk, closures, settings, exp.alpha, exp.beta, driving, exp.fx
         )
 
-    g, grid_steps = experiments._march(run_chunk, np.zeros((9, 21, 100)), exp.criterion)
+    return experiments._march(run_chunk, np.zeros((9, exp.ny, exp.nx)), exp.criterion)
+
+
+@pytest.mark.parametrize("driving", ["force-split-half", "force-population"])
+def test_force_column_settles_as_the_full_grid_does(driving):
+    exp = D2Q9Experiment(driving=driving, nx=100, ny=21)
+    g, grid_steps = full_grid_march(exp)
     f, steps = run_to_steady(exp)
     assert f.shape == g.shape
     assert np.all(f == f[..., :1])
@@ -425,6 +440,34 @@ def test_force_column_settles_as_the_full_grid_does(driving):
     assert wall_offset(exp, f).delta_q == pytest.approx(
         wall_offset(exp, g).delta_q, abs=1e-14
     )
+
+
+@pytest.mark.parametrize("nx, ny", [(40, 9), (40, 8), (100, 21)], ids=str)
+def test_pressure_half_settles_as_the_full_grid_does(nx, ny):
+    exp = D2Q9Experiment(driving="pressure", nx=nx, ny=ny)
+    g, grid_steps = full_grid_march(exp)
+    f, steps = run_to_steady(exp)
+    assert f.shape == g.shape
+    assert np.array_equal(f, f[MIRROR, ::-1])
+    assert steps == grid_steps
+    for side in ("lower", "upper"):
+        assert wall_offset(exp, f, side).delta_q == pytest.approx(
+            wall_offset(exp, g, side).delta_q, abs=1e-14
+        )
+
+
+@pytest.mark.parametrize("driving", DRIVING_TAGS)
+@pytest.mark.parametrize("ny", [7, 8])
+def test_channel_refuses_a_start_that_is_not_mirror_symmetric(driving, ny):
+    # Only the lower half is marched, so the upper half of such a start
+    # would be dropped without a word; it is refused instead.  The mean of
+    # the start and its mirror image is accepted.
+    exp = D2Q9Experiment(driving=driving, nx=6, ny=ny)
+    noise = 1e-5 * np.random.default_rng(2).normal(size=(9, ny, 1))
+    noise = np.broadcast_to(noise, (9, ny, 6))
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        run_to_steady(exp, init=noise)
+    run_to_steady(exp, init=0.5 * (noise + noise[MIRROR, ::-1]))
 
 
 def test_force_channel_refuses_a_start_whose_columns_differ():
@@ -521,22 +564,24 @@ ROOT_SEARCHES = {
 PRODUCT_TOL = 1e-5
 
 
-def operator_shapes(patch):
-    """Record the shape of the operator every kernel march multiplies by."""
-    shapes, march = [], kernels._march
+def kernel_marches(patch):
+    """Record the operator shape, the steps and the node count of every
+    kernel march."""
+    marches, march = [], kernels._march
 
     def recorded(f, steps, kc, *args):
-        shapes.append(kc.shape)
+        marches.append((kc.shape, steps, f[0].size))
         return march(f, steps, kc, *args)
 
     patch.setattr(kernels, "_march", recorded)
-    return shapes
+    return marches
 
 
 @functools.cache
 def logged_root_search(name):
     """One benchmark search, with every march's experiment, state and steps,
-    and the set of operator shapes its kernel marches used."""
+    the set of operator shapes its kernel marches used and their total of
+    node updates (steps times marched nodes)."""
     marches = []
 
     def logged(exp, init=None):
@@ -547,14 +592,15 @@ def logged_root_search(name):
     exp = ROOT_SEARCHES[name]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "run_to_steady", logged)
-        shapes = operator_shapes(patch)
+        kernel = kernel_marches(patch)
         sweep = find_magic_root(exp, product_tol=PRODUCT_TOL)
-    return exp, sweep, marches, set(shapes)
+    shapes = {shape for shape, _, _ in kernel}
+    return exp, sweep, marches, shapes, sum(steps * nodes for _, steps, nodes in kernel)
 
 
 @pytest.fixture(scope="module", params=sorted(ROOT_SEARCHES))
 def root_search(request):
-    exp, sweep, _, _ = logged_root_search(request.param)
+    exp, sweep = logged_root_search(request.param)[:2]
     return exp, sweep
 
 
@@ -564,6 +610,13 @@ def test_root_searches_march_few_steps():
         steps for name in ROOT_SEARCHES for _, _, steps in logged_root_search(name)[2]
     )
     assert total <= 8000
+
+
+def test_root_searches_update_few_nodes():
+    # Kernel steps times the nodes each one updates: 986k when the pressure
+    # channel marched its whole 40x9 grid, 584k on its lower five rows.
+    total = sum(logged_root_search(name)[4] for name in ROOT_SEARCHES)
+    assert total <= 650_000
 
 
 def test_root_searches_multiply_only_the_operator_rows_they_read():
@@ -778,12 +831,12 @@ def test_transport_measurements_multiply_only_the_operator_rows_they_read(
     monkeypatch,
 ):
     # Periodic lines and planes without a source or force: the plain K.
-    shapes = operator_shapes(monkeypatch)
+    marches = kernel_marches(monkeypatch)
     args = dict(mode=1, steps=2000, skip=200)
     measure_diffusivity("a", 1.0, 0.125, zeta=1.0 / 3.0, n=64, **args)
     measure_diffusivity("b", 1.0, 0.375, zeta=1.0, n=64, **args)
     measure_viscosity(0.375, 1.0, alpha=-2.0, beta=1.0, nx=64, ny=4, **args)
-    assert shapes == [(3, 3), (3, 3), (9, 9)]
+    assert [shape for shape, _, _ in marches] == [(3, 3), (3, 3), (9, 9)]
 
 
 def test_transport_measurements_observe_in_few_blocks(monkeypatch):

@@ -521,3 +521,74 @@ def test_wave_uniform_in_y_marches_as_one_row(moment, ny, nx):
     grid = d2q9_run(f, 300, *args)
     row = d2q9_run(f[:, :1], 300, *args)
     assert np.array_equal(grid, np.broadcast_to(row, grid.shape))
+
+
+# ---------------------------------------------------------------------------
+# Mirror symmetry: a channel symmetric about its mid-line stays symmetric, so
+# its lower (ny + 1) // 2 rows march as the grid does
+# ---------------------------------------------------------------------------
+
+# The D2Q9 population with vy negated.
+MIRROR = np.array([
+    next(k for k in range(9) if (D2Q9.vx[k], D2Q9.vy[k]) == (D2Q9.vx[j], -D2Q9.vy[j]))
+    for j in range(9)
+])
+
+MIRROR_SHAPES = [(9, 5, 7), (9, 6, 7), (9, 9, 40), (9, 8, 40)]
+
+MIRROR_CASES = {
+    "split-half": (force_channel_closures(), "force-split-half"),
+    "population": (force_channel_closures(), "force-population"),
+    "pressure": (pressure_channel_closures(3e-6), None),
+}
+
+
+@pytest.mark.parametrize("case", list(MIRROR_CASES))
+@pytest.mark.parametrize("shape", MIRROR_SHAPES, ids=str)
+def test_full_stream_map_is_mirror_symmetric(shape, case):
+    # The output mirrored about the mid-line pulls the mirrored source, with
+    # the same sign, and gets the same offset.
+    closures, _ = MIRROR_CASES[case]
+    idx, b, _ = kernels._stream_map(D2Q9, shape, closures, -2.0, 1.0)
+    size = np.prod(shape)
+    signed = (idx >= size).reshape(shape)
+    j, y, x = (a.reshape(shape) for a in np.unravel_index(idx % size, shape))
+    ny = shape[1]
+
+    def mirrored(a):
+        return a[MIRROR, ::-1]
+
+    assert np.array_equal(mirrored(signed), signed)
+    assert np.array_equal(mirrored(MIRROR[j]), j)
+    assert np.array_equal(mirrored(ny - 1 - y), y)
+    assert np.array_equal(mirrored(x), x)
+    if b is not None:
+        assert np.array_equal(mirrored(b.reshape(shape)), b.reshape(shape))
+
+
+# Measured at most 6.6e-17 of the start's scale after STEPS steps; the
+# random start decays, so its scale, not the end state's, is the rounding's.
+MIRROR_RTOL = 7e-16
+
+
+@pytest.mark.parametrize("case", list(MIRROR_CASES))
+@pytest.mark.parametrize("shape", MIRROR_SHAPES, ids=str)
+def test_lower_half_marches_as_the_symmetric_grid_does(shape, case):
+    closures, driving = MIRROR_CASES[case]
+    ny, h = shape[1], (shape[1] + 1) // 2
+    args = (closures, relaxation_d2q9(0.3, 1.1), -2.0, 1.0, driving, 2e-6)
+    g = np.random.default_rng(73).normal(size=shape)
+    f = 0.5 * (g + g[MIRROR, ::-1])
+    grid = d2q9_run(f, STEPS, *args)
+    half = d2q9_run(f[:, :h], STEPS, *args, ny=ny)
+    assert half.shape == (9, h, shape[2])
+    if ny % 2:  # the middle row is its own mirror image, bitwise
+        assert np.array_equal(half[MIRROR, -1], half[:, -1])
+    full = np.concatenate([half, half[MIRROR, : ny // 2][:, ::-1]], axis=1)
+    assert np.max(np.abs(full - grid)) <= MIRROR_RTOL * np.max(np.abs(f))
+
+
+def test_a_field_of_neither_height_is_refused():
+    args = (force_channel_closures(), relaxation_d2q9(0.3, 1.1), -2.0, 1.0)
+    with pytest.raises(ValueError, match="lower 5 rows"):
+        d2q9_run(np.zeros((9, 4, 3)), 1, *args, ny=9)
