@@ -15,14 +15,15 @@ by a closure:
   imposed density offset, used to hold a pressure difference between
   the two ends of a channel.
 
-The closures are pure per-link functions of post-collision values at
-the boundary node itself, which is what makes them usable as fills
-during the streaming pass.
+The three non-periodic closures share one per-link rule, ``incoming``:
+a pure function of the post-collision value leaving the boundary node
+itself along the opposite link, which is what makes it usable as a fill
+during the streaming pass (``lattice.stream``).
 """
 
 from dataclasses import dataclass, field
 
-import numpy as np
+from .errors import ConfigurationError
 
 __all__ = [
     "PERIODIC",
@@ -30,9 +31,8 @@ __all__ = [
     "ANTI_BOUNCE_BACK",
     "PRESSURE_ABB",
     "BoundaryClosure",
-    "anti_bounce_back_1d",
+    "incoming",
     "pressure_abb_coefficient",
-    "pressure_anti_bounce_back",
     "sound_speed_sq",
     "diffusion_closures",
     "periodic_line_closures",
@@ -79,31 +79,32 @@ class BoundaryClosure:
         return self._hash
 
 
-def anti_bounce_back_1d(f_star_out):
-    """Incoming population at a line-lattice end node.
-
-    The inward-pointing population equals minus the outward post-collision
-    population of the same node, which pins the density to zero half a
-    spacing beyond the node (exactly so at the magic product).
-    """
-    return -np.asarray(f_star_out, dtype=np.float64)
-
-
 def pressure_abb_coefficient(alpha, beta):
     """Scalar weight (4 - alpha - 2*beta) / 18 of the imposed density offset."""
     return (4.0 - alpha - 2.0 * beta) / 18.0
 
 
-def pressure_anti_bounce_back(f_star_opposite, scalar, alpha, beta):
-    """Incoming population at a channel end node holding a pressure offset.
+def incoming(closure, f_out, alpha=None, beta=None):
+    """Population that ``closure`` sends in along a link entering from outside.
 
-    Anti-bounce-back against the opposite post-collision population plus
-    ``pressure_abb_coefficient(alpha, beta) * scalar``.  The scalar is
-    the signed imposed density offset of the face, so the same formula
-    serves both the high- and low-pressure ends.
+    ``f_out`` is the post-collision population leaving the same node along
+    the opposite link.  Bounce-back returns it, anti-bounce-back negates
+    it, and pressure-abb negates it and adds ``pressure_abb_coefficient(alpha,
+    beta)`` times the face's signed density offset, so one formula serves
+    both channel ends.
     """
-    coeff = pressure_abb_coefficient(alpha, beta)
-    return -np.asarray(f_star_opposite, dtype=np.float64) + coeff * scalar
+    if closure.kind == BOUNCE_BACK:
+        return f_out
+    if closure.kind == ANTI_BOUNCE_BACK:
+        return -f_out
+    if closure.kind == PRESSURE_ABB:
+        if alpha is None or beta is None:
+            raise ConfigurationError(
+                "pressure anti-bounce-back closure needs equilibrium "
+                "parameters alpha and beta"
+            )
+        return -f_out + pressure_abb_coefficient(alpha, beta) * closure.scalar
+    raise ValueError(f"closure kind {closure.kind!r} fills no incoming link")
 
 
 def sound_speed_sq(alpha):

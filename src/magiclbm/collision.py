@@ -83,11 +83,12 @@ def s_to_sigma(s):
 
 
 def sigma_to_s(sigma):
-    """Rate from shifted inverse, s = 1/(sigma + 1/2); requires sigma > 0."""
+    """Rate from shifted inverse, s = 1/(sigma + 1/2); requires a finite sigma > 0."""
     sigma = float(sigma)
-    if sigma <= 0.0:
+    if not 0.0 < sigma < np.inf:
         raise ConfigurationError(
-            f"sigma={sigma} maps to a rate {_STABILITY_MSG} (sigma must be positive)"
+            f"sigma={sigma} maps to a rate {_STABILITY_MSG} "
+            "(sigma must be positive and finite)"
         )
     return 1.0 / (sigma + 0.5)
 

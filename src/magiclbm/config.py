@@ -23,6 +23,7 @@ inverse sigma = 1/s - 1/2; giving both for the same moment is an error.
 
 import configparser
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
@@ -38,6 +39,7 @@ from .experiments import (
     _default_zeta,
     predicted_product,
 )
+from .results import format_value
 
 __all__ = [
     "RunConfig",
@@ -114,9 +116,17 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean word: {text!r}")
 
 
+def _finite(text):
+    """A float from text; infinities and nan are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_products(text):
     parts = [p.strip() for p in text.split(",")]
-    values = tuple(float(p) for p in parts if p)
+    values = tuple(_finite(p) for p in parts if p)
     if not values:
         raise ValueError("empty product list")
     return tuple(sorted(values))
@@ -124,13 +134,13 @@ def _parse_products(text):
 
 def _rate(text):
     """A relaxation rate, kept as a rate; s_to_sigma rejects s outside (0, 2)."""
-    rate = float(text)
+    rate = _finite(text)
     s_to_sigma(rate)
     return rate
 
 
 def _rate_as_sigma(text):
-    return s_to_sigma(float(text))
+    return s_to_sigma(_finite(text))
 
 
 # What a value that fails its converter should have looked like.
@@ -181,36 +191,36 @@ _TABLE = (
     ("scheme", "model", "model", None, ("d1q3", "d2q9"), None, None),
     ("scheme", "variant", "variant", _LINE, ("a", "b"), "a", None),
     ("scheme", "driving", "driving", _PLANE, DRIVING_TAGS, "force-split-half", None),
-    ("scheme", "zeta", "zeta", _LINE, float,
+    ("scheme", "zeta", "zeta", _LINE, _finite,
      lambda v: _default_zeta(v["variant"]), _POSITIVE),
-    ("scheme", "alpha", "alpha", _PLANE, float, -2.0, None),
-    ("scheme", "beta", "beta", _PLANE, float, 1.0, None),
+    ("scheme", "alpha", "alpha", _PLANE, _finite, -2.0, None),
+    ("scheme", "beta", "beta", _PLANE, _finite, 1.0, None),
     ("grid", "n", "n", _LINE, int, 32, 5),
     ("grid", "nx", "nx", _PLANE, int, 100, 5),
     ("grid", "ny", "ny", _PLANE, int, 21, 5),
-    ("relaxation", "sigma1", "sigma1", _LINE, float, 1.0, _POSITIVE),
+    ("relaxation", "sigma1", "sigma1", _LINE, _finite, 1.0, _POSITIVE),
     ("relaxation", "s1", "sigma1", _LINE, _rate_as_sigma, None, None),
-    ("relaxation", "sigma2", "sigma2", _LINE, float, 0.125, _POSITIVE),
+    ("relaxation", "sigma2", "sigma2", _LINE, _finite, 0.125, _POSITIVE),
     ("relaxation", "s2", "sigma2", _LINE, _rate_as_sigma, None, None),
-    ("relaxation", "sigma5", "sigma5", _PLANE, float, 0.375, _POSITIVE),
+    ("relaxation", "sigma5", "sigma5", _PLANE, _finite, 0.375, _POSITIVE),
     ("relaxation", "s5", "sigma5", _PLANE, _rate_as_sigma, None, None),
-    ("relaxation", "sigma8", "sigma8", _PLANE, float, 1.0, _POSITIVE),
+    ("relaxation", "sigma8", "sigma8", _PLANE, _finite, 1.0, _POSITIVE),
     ("relaxation", "s8", "sigma8", _PLANE, _rate_as_sigma, None, None),
     ("relaxation", "s_bulk", "s_bulk", _PLANE, _rate, 1.2, None),
-    ("driving", "source", "source", _LINE, float, 1e-6, None),
-    ("driving", "force_x", "force_x", _FORCE, float, 1e-6, None),
-    ("driving", "delta_p", "delta_p", _PRESSURE, float, 1e-6, None),
-    ("criterion", "tolerance", "tolerance", None, float, 1e-15, None),
+    ("driving", "source", "source", _LINE, _finite, 1e-6, None),
+    ("driving", "force_x", "force_x", _FORCE, _finite, 1e-6, None),
+    ("driving", "delta_p", "delta_p", _PRESSURE, _finite, 1e-6, None),
+    ("criterion", "tolerance", "tolerance", None, _finite, 1e-15, None),
     ("criterion", "check_every", "check_every", None, int, 100, None),
     ("criterion", "max_steps", "max_steps", None, int, 500_000, None),
     ("sweep", "products", "products", None, _parse_products, _default_products,
      _POSITIVE),
     ("sweep", "split_check", "split_check", None, _parse_bool, True, None),
-    ("root", "bracket_lo", "bracket_lo", None, float,
+    ("root", "bracket_lo", "bracket_lo", None, _finite,
      lambda v: _default_bracket(v, 0), None),
-    ("root", "bracket_hi", "bracket_hi", None, float,
+    ("root", "bracket_hi", "bracket_hi", None, _finite,
      lambda v: _default_bracket(v, 1), None),
-    ("root", "product_tol", "product_tol", None, float, 1e-5, _POSITIVE),
+    ("root", "product_tol", "product_tol", None, _finite, 1e-5, _POSITIVE),
     ("root", "max_evals", "max_evals", None, int, 40, 2),
     ("measure", "n", "measure_n", _LINE, int, 64, 5),
     ("measure", "nx", "measure_nx", _PLANE, int, 64, 5),
@@ -421,17 +431,6 @@ def parse_config(text, overrides=(), source="<config>", implied=(None, None)):
     return RunConfig(**{f.name: values.get(f.name) for f in fields(RunConfig)})
 
 
-def _format(value):
-    """Canonical text of a value; floats in their shortest round-trip form."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ", ".join(_format(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_config(cfg):
     """Canonical INI text of a RunConfig.
 
@@ -444,7 +443,7 @@ def render_config(cfg):
         block = blocks.setdefault(section, [f"[{section}]"])
         value = getattr(cfg, name)
         if name not in rendered and value is not None:
-            block.append(f"{key} = {_format(value)}")
+            block.append(f"{key} = {format_value(value)}")
         rendered.add(name)
     del blocks["output"]
     return "\n\n".join("\n".join(block) for block in blocks.values()) + "\n"

@@ -13,6 +13,11 @@ density sum, and the plane basis keeps rows 1 and 2 equal to the two
 momentum components, so conserved quantities are plain components of
 ``m``.
 
+One pull stream serves both lattices, driven by a table of each field
+axis's faces and closure kind (``_FACES``): every population is rolled
+along its velocity, and every link that enters through a non-periodic
+face is filled by the one per-link rule ``boundaries.incoming``.
+
 The code works in lattice units: grid spacing, time step and velocity
 scale are all 1.
 """
@@ -214,6 +219,18 @@ def mirror_fold(spec, ny):
     return fold
 
 
+# The faces of each lattice, one row per field axis after the population
+# axis: the axis name (its velocity component is ``v<name>``), its (low,
+# high) faces and the one closure kind besides periodic that they take.
+_FACES = {
+    "d1q3": (("x", ("left", "right"), boundaries.ANTI_BOUNCE_BACK),),
+    "d2q9": (
+        ("y", ("south", "north"), boundaries.BOUNCE_BACK),
+        ("x", ("west", "east"), boundaries.PRESSURE_ABB),
+    ),
+}
+
+
 def _closure_map(closures, faces):
     by_face = {}
     for c in closures:
@@ -232,106 +249,16 @@ def _closure_map(closures, faces):
     return by_face
 
 
-def _check_periodic_pair(lo, hi, axis):
-    lo_p = lo.kind == boundaries.PERIODIC
-    hi_p = hi.kind == boundaries.PERIODIC
-    if lo_p != hi_p:
-        raise ConfigurationError(
-            f"periodic closure on axis {axis!r} must cover both opposing faces"
-        )
-    return lo_p
-
-
-def _stream_d1q3(fstar, closures):
-    by_face = _closure_map(closures, ("left", "right"))
-    left, right = by_face["left"], by_face["right"]
-    periodic = _check_periodic_pair(left, right, "x")
-    fnew = np.empty_like(fstar)
-    fnew[0] = fstar[0]
-    fnew[1, 1:] = fstar[1, :-1]
-    fnew[2, :-1] = fstar[2, 1:]
-    if periodic:
-        fnew[1, 0] = fstar[1, -1]
-        fnew[2, -1] = fstar[2, 0]
-        return fnew
-    for closure, j, x in ((left, 1, 0), (right, 2, -1)):
-        if closure.kind != boundaries.ANTI_BOUNCE_BACK:
-            raise ConfigurationError(
-                f"line lattice face {closure.face!r} supports periodic or "
-                f"anti-bounce-back closures, got {closure.kind!r}"
-            )
-        opp = 2 if j == 1 else 1
-        fnew[j, x] = boundaries.anti_bounce_back_1d(fstar[opp, x])
-    return fnew
-
-
-def _stream_d2q9(fstar, closures, alpha, beta):
-    spec = D2Q9
-    by_face = _closure_map(closures, ("west", "east", "south", "north"))
-    x_periodic = _check_periodic_pair(by_face["west"], by_face["east"], "x")
-    y_periodic = _check_periodic_pair(by_face["south"], by_face["north"], "y")
-
-    fnew = np.empty_like(fstar)
-    for j in range(spec.q):
-        fnew[j] = np.roll(fstar[j], (spec.vy[j], spec.vx[j]), axis=(0, 1))
-
-    if not y_periodic:
-        for face, row in (("south", 0), ("north", -1)):
-            closure = by_face[face]
-            if closure.kind != boundaries.BOUNCE_BACK:
-                raise ConfigurationError(
-                    f"plane lattice face {face!r} supports periodic or "
-                    f"bounce-back closures, got {closure.kind!r}"
-                )
-            inward = 1 if face == "south" else -1
-            for j in range(spec.q):
-                if spec.vy[j] == inward:
-                    # Rolled values in this row came through the wall; replace
-                    # with the same-node reflection.  Covers the two corner
-                    # diagonals as well when x is not periodic.
-                    fnew[j][row, :] = fstar[spec.opposite[j]][row, :]
-
-    if not x_periodic:
-        ny = fstar.shape[1]
-        for face, col in (("west", 0), ("east", -1)):
-            closure = by_face[face]
-            if closure.kind != boundaries.PRESSURE_ABB:
-                raise ConfigurationError(
-                    f"plane lattice face {face!r} supports periodic or "
-                    f"pressure anti-bounce-back closures, got {closure.kind!r}"
-                )
-            if alpha is None or beta is None:
-                raise ConfigurationError(
-                    "pressure anti-bounce-back closure needs equilibrium "
-                    "parameters alpha and beta"
-                )
-            inward = 1 if face == "west" else -1
-            for j in range(spec.q):
-                if spec.vx[j] != inward:
-                    continue
-                vy = spec.vy[j]
-                if y_periodic or vy == 0:
-                    rows = slice(None)
-                elif vy == 1:
-                    # Source node sits one row below; skip the bottom row,
-                    # whose link is doubly outside and already wall-filled.
-                    rows = slice(1, ny)
-                else:
-                    rows = slice(0, ny - 1)
-                fnew[j][rows, col] = boundaries.pressure_anti_bounce_back(
-                    fstar[spec.opposite[j]][rows, col], closure.scalar, alpha, beta
-                )
-    return fnew
-
-
 def stream(spec, fstar, closures, alpha=None, beta=None):
     """Advance post-collision populations one step along their velocities.
 
     Pull form: every population of the new field is read from the node
     one velocity upstream.  Links whose upstream node lies outside the
-    domain are filled by the face closures while streaming, so each link
-    is written exactly once.  Corner links whose upstream node is
-    outside through two faces at once use the plain reflection rule.
+    domain are filled by the face closures while streaming
+    (``boundaries.incoming``), from the opposite population at the same
+    node.  The faces are filled last axis first, so a corner link whose
+    upstream node is outside through two faces at once takes the rule of
+    the first axis: the walls' plain reflection in a channel.
 
     Parameters
     ----------
@@ -344,14 +271,35 @@ def stream(spec, fstar, closures, alpha=None, beta=None):
         Equilibrium parameters, required by pressure closures.
     """
     fstar = np.asarray(fstar, dtype=np.float64)
-    if spec.name == "d1q3":
-        if fstar.ndim != 2 or fstar.shape[0] != 3:
-            raise ValueError(f"expected line field of shape (3, n), got {fstar.shape}")
-        return _stream_d1q3(fstar, closures)
-    if spec.name == "d2q9":
-        if fstar.ndim != 3 or fstar.shape[0] != 9:
-            raise ValueError(
-                f"expected plane field of shape (9, ny, nx), got {fstar.shape}"
+    axes = _FACES[spec.name]
+    if fstar.ndim != len(axes) + 1 or len(fstar) != spec.q:
+        raise ValueError(
+            f"expected a {spec.name} field of {spec.q} populations on "
+            f"{len(axes)} axes, got shape {fstar.shape}"
+        )
+    faces = tuple(face for _, pair, _ in axes[::-1] for face in pair)
+    by_face = _closure_map(closures, faces)
+    v = [getattr(spec, "v" + name) for name, *_ in axes]
+    rolls = [np.roll(f, [c[j] for c in v], range(len(v))) for j, f in enumerate(fstar)]
+    fnew = np.stack(rolls)
+    for axis in reversed(range(len(axes))):
+        name, (lo, hi), kind = axes[axis]
+        lo, hi = by_face[lo], by_face[hi]
+        if (lo.kind == boundaries.PERIODIC) != (hi.kind == boundaries.PERIODIC):
+            raise ConfigurationError(
+                f"periodic closure on axis {name!r} must cover both opposing faces"
             )
-        return _stream_d2q9(fstar, closures, alpha, beta)
-    raise ValueError(f"unknown lattice {spec.name!r}")
+        if lo.kind == boundaries.PERIODIC:
+            continue
+        for closure, inward, node in ((lo, 1, 0), (hi, -1, -1)):
+            if closure.kind != kind:
+                raise ConfigurationError(
+                    f"{spec.name} face {closure.face!r} supports periodic or "
+                    f"{kind} closures, got {closure.kind!r}"
+                )
+            at = (slice(None),) * axis + (node,)
+            for j in np.flatnonzero(v[axis] == inward):
+                fnew[j][at] = boundaries.incoming(
+                    closure, fstar[spec.opposite[j]][at], alpha, beta
+                )
+    return fnew

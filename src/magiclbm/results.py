@@ -21,6 +21,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "ResultTable",
+    "format_value",
     "to_csv",
     "write_table",
     "emit_plot_script",
@@ -43,20 +44,21 @@ _FIGURES = {
 }
 
 
-def _fmt_number(value):
-    """Shortest decimal text that parses back to the identical value."""
+def format_value(value):
+    """Canonical text of a value, shared by the CSV and the config rendering.
+
+    ``true``/``false`` for booleans, integers as integers, other numbers
+    as the shortest decimal text that parses back to the identical float,
+    tuples joined by ", ", anything else as ``str``.
+    """
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, numbers.Integral):
         return str(int(value))
-    return repr(float(value))
-
-
-def _fmt_meta(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, numbers.Number)):
-        return _fmt_number(value)
+    if isinstance(value, numbers.Number):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ", ".join(format_value(v) for v in value)
     return str(value)
 
 
@@ -105,13 +107,13 @@ def to_csv(table):
     """Render a ResultTable as CSV text with a '#' metadata header."""
     lines = []
     for key, value in table.metadata:
-        lines.append(f"# {key} = {_fmt_meta(value)}")
+        lines.append(f"# {key} = {format_value(value)}")
     header = []
     for name, unit in table.columns:
         header.append(f"{name}[{unit}]" if unit else name)
     lines.append(",".join(header))
     for row in table.rows:
-        lines.append(",".join(_fmt_number(v) for v in row))
+        lines.append(",".join(format_value(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -9,16 +9,16 @@ from magiclbm.boundaries import (
     PERIODIC,
     PRESSURE_ABB,
     BoundaryClosure,
-    anti_bounce_back_1d,
     diffusion_closures,
     force_channel_closures,
+    incoming,
     periodic_line_closures,
     periodic_plane_closures,
     pressure_abb_coefficient,
-    pressure_anti_bounce_back,
     pressure_channel_closures,
     sound_speed_sq,
 )
+from magiclbm.errors import ConfigurationError
 
 
 # ---------------------------------------------------------------------------
@@ -26,8 +26,12 @@ from magiclbm.boundaries import (
 # ---------------------------------------------------------------------------
 
 
+def test_bounce_back_returns_the_outgoing_population():
+    assert incoming(BoundaryClosure("south", BOUNCE_BACK), 0.1) == 0.1
+
+
 def test_anti_bounce_back_flips_sign():
-    assert anti_bounce_back_1d(0.1) == pytest.approx(-0.1)
+    assert incoming(BoundaryClosure("left", ANTI_BOUNCE_BACK), 0.1) == pytest.approx(-0.1)
 
 
 @pytest.mark.parametrize(
@@ -39,8 +43,18 @@ def test_pressure_coefficient_values(alpha, beta, expected):
 
 
 def test_pressure_anti_bounce_back_combines_flip_and_offset():
-    got = pressure_anti_bounce_back(0.25, 0.9, alpha=-2.0, beta=1.0)
+    got = incoming(BoundaryClosure("west", PRESSURE_ABB, 0.9), 0.25, alpha=-2.0, beta=1.0)
     assert got == pytest.approx(-0.25 + (2.0 / 9.0) * 0.9, rel=1e-14)
+
+
+def test_pressure_anti_bounce_back_needs_alpha_and_beta():
+    with pytest.raises(ConfigurationError, match="alpha and beta"):
+        incoming(BoundaryClosure("west", PRESSURE_ABB, 0.9), 0.25, alpha=-2.0)
+
+
+def test_periodic_closure_fills_no_incoming_link():
+    with pytest.raises(ValueError, match="fills no incoming link"):
+        incoming(BoundaryClosure("left", PERIODIC), 0.25)
 
 
 def test_sound_speed_squared():

@@ -268,6 +268,14 @@ def test_invalid_configuration_exits_2(tmp_path, capsys):
     assert not (tmp_path / "poisson-1d.csv").exists()
 
 
+def test_non_finite_number_exits_2(tmp_path, capsys):
+    # sigma8 = inf used to give rate 0, a stress row that never relaxes.
+    rc = run_cli(tmp_path, "poiseuille-pressure", "--override", "relaxation.sigma8=inf")
+    assert rc == 2
+    assert "relaxation.sigma8: " in capsys.readouterr().err
+    assert not (tmp_path / "poiseuille-pressure.csv").exists()
+
+
 def test_starved_convergence_exits_3(tmp_path, capsys):
     rc = run_cli(
         tmp_path, "poisson-1d",

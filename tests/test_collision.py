@@ -47,6 +47,13 @@ def test_sigma_to_s_rejects_nonpositive_sigma():
         sigma_to_s(-0.1)
 
 
+@pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+def test_sigma_to_s_rejects_non_finite_sigma(sigma):
+    # An infinite sigma would give rate 0, which reads as a conserved row.
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        sigma_to_s(sigma)
+
+
 def test_relaxation_settings_reject_unstable_rate():
     with pytest.raises(ConfigurationError, match="0 < s < 2"):
         RelaxationSettings((0.0, 2.5, 1.0))

@@ -178,6 +178,49 @@ def test_non_numeric_value_is_annotated():
     assert "expected an integer" in violation
 
 
+# Every key that takes a number with a fractional part, with the scheme
+# it is meaningful for: "line", "channel" (force-split-half) or "pressure".
+FLOAT_KEYS = [
+    ("scheme", "zeta", "line"),
+    ("scheme", "alpha", "channel"),
+    ("scheme", "beta", "channel"),
+    ("relaxation", "sigma1", "line"),
+    ("relaxation", "s1", "line"),
+    ("relaxation", "sigma2", "line"),
+    ("relaxation", "s2", "line"),
+    ("relaxation", "sigma5", "channel"),
+    ("relaxation", "s5", "channel"),
+    ("relaxation", "sigma8", "channel"),
+    ("relaxation", "s8", "channel"),
+    ("relaxation", "s_bulk", "channel"),
+    ("driving", "source", "line"),
+    ("driving", "force_x", "channel"),
+    ("driving", "delta_p", "pressure"),
+    ("criterion", "tolerance", "line"),
+    ("sweep", "products", "line"),
+    ("root", "bracket_lo", "line"),
+    ("root", "bracket_hi", "line"),
+    ("root", "product_tol", "line"),
+]
+
+_DOCUMENTS = {
+    "line": MINIMAL_LINE,
+    "channel": MINIMAL_PLANE,
+    "pressure": MINIMAL_PLANE + "driving = pressure\n",
+}
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "section, key, scheme", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k, _ in FLOAT_KEYS]
+)
+def test_non_finite_numbers_are_rejected_with_their_key(section, key, scheme, text):
+    problems = violations_of(_DOCUMENTS[scheme], [f"{section}.{key}={text}"])
+    assert any(
+        f"{section}.{key}: " in p and "not a finite number" in p for p in problems
+    ), problems
+
+
 def test_singular_pressure_predictor_is_a_parse_error():
     (violation,) = violations_of(
         "[scheme]\nmodel = d2q9\ndriving = pressure\nalpha = 0\nbeta = 2\n"

@@ -252,9 +252,37 @@ def test_plane_pressure_stream_literal_entries():
     assert out[3, 1, 2] == pytest.approx(-112.0 - coeff * delta_rho, abs=1e-15)
     # Wall rows still bounce back.
     assert out[2, 0, 2] == 402.0
-    # The corner diagonal is outside through both faces at once and
-    # falls back to a plain reflection.
-    assert out[5, 0, 0] == 700.0
+    # Each corner diagonal is outside through both faces at once and
+    # falls back to a plain reflection, at all four corners.
+    assert out[5, 0, 0] == 700.0  # south-west pulls j = 7
+    assert out[6, 0, 2] == 802.0  # south-east pulls j = 8
+    assert out[8, 2, 0] == 620.0  # north-west pulls j = 6
+    assert out[7, 2, 2] == 522.0  # north-east pulls j = 5
+    # The diagonal that enters through the wall alone is a wall link.
+    assert out[6, 0, 0] == 800.0
+
+
+def test_plane_pressure_with_periodic_y_fills_every_row():
+    delta_rho = 0.9
+    coeff = 2.0 / 9.0
+    closures = (
+        BoundaryClosure("west", "pressure-abb", delta_rho),
+        BoundaryClosure("east", "pressure-abb", -delta_rho),
+        BoundaryClosure("south", "periodic"),
+        BoundaryClosure("north", "periodic"),
+    )
+    fstar = _traceable_plane_field()
+    out = stream(D2Q9, fstar, closures, alpha=-2.0, beta=1.0)
+    # No wall: every row of an end column takes the pressure rule, the
+    # corner rows included.
+    for j, x, offset in ((1, 0, 1), (5, 0, 1), (8, 0, 1), (3, 2, -1), (6, 2, -1), (7, 2, -1)):
+        for y in range(3):
+            expected = -fstar[D2Q9.opposite[j], y, x] + offset * coeff * delta_rho
+            assert out[j, y, x] == pytest.approx(expected, abs=1e-15)
+    assert out[5, 0, 0] == pytest.approx(-700.0 + coeff * delta_rho, abs=1e-15)
+    assert out[7, 2, 2] == pytest.approx(-522.0 - coeff * delta_rho, abs=1e-15)
+    # Interior links wrap through the periodic y faces.
+    assert out[2, 0, 1] == 221.0
 
 
 def test_pressure_stream_needs_equilibrium_parameters():
@@ -291,6 +319,25 @@ def test_stream_rejects_uncovered_face():
     closures = [BoundaryClosure("left", "anti-bounce-back")]
     with pytest.raises(ConfigurationError, match="uncovered boundary links"):
         stream(D1Q3, np.zeros((3, 4)), closures)
+
+
+@pytest.mark.parametrize(
+    "spec, closures, face",
+    [
+        (D1Q3, (BoundaryClosure("left", "bounce-back"),
+                BoundaryClosure("right", "anti-bounce-back")), "left"),
+        (D2Q9, pressure_channel_closures(0.1)[:2]
+               + (BoundaryClosure("south", "anti-bounce-back"),
+                  BoundaryClosure("north", "bounce-back")), "south"),
+        (D2Q9, (BoundaryClosure("west", "pressure-abb", 0.1),
+                BoundaryClosure("east", "bounce-back"))
+               + force_channel_closures()[2:], "east"),
+    ],
+)
+def test_stream_rejects_unsupported_closure_kinds(spec, closures, face):
+    shape = (spec.q,) + (4,) * spec.dim
+    with pytest.raises(ConfigurationError, match=f"face '{face}' supports periodic or"):
+        stream(spec, np.zeros(shape), closures, alpha=-2.0, beta=1.0)
 
 
 def test_stream_rejects_one_sided_periodic():
