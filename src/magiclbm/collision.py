@@ -43,7 +43,6 @@ __all__ = [
     "apply_diffusion_source",
     "apply_force_split_half",
     "apply_force_population",
-    "population_force_increments",
     "diffusivity_from_params",
 ]
 
@@ -195,14 +194,6 @@ def apply_force_population(m, fx):
     out[1] = out[1] + fx
     out[5] = out[5] - fx
     return out
-
-
-def population_force_increments(fx):
-    """Population-space increment vector of the population-form force."""
-    base = np.array(
-        [0.0, 1.0 / 3.0, 0.0, -1.0 / 3.0, 0.0, 1.0 / 12.0, -1.0 / 12.0, -1.0 / 12.0, 1.0 / 12.0]
-    )
-    return fx * base
 
 
 def diffusivity_from_params(variant, sigma1, zeta):

@@ -15,7 +15,7 @@ increment (the mid-collision value); the profile accessors apply that
 correction.  The pressure-driven scheme stores the observable directly.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .errors import (
     MeasurementError,
 )
 from .fitting import fit_parabola, wall_location
-from .lattice import D2Q9, build_d1q3_basis, build_d2q9_basis, from_moments
-from .lattice import mirror_fold
+from .lattice import build_d1q3_basis, build_d2q9_basis, from_moments
 
 __all__ = [
     "SteadyStateCriterion",
@@ -97,6 +96,14 @@ class SteadyStateCriterion:
             raise ConfigurationError("invalid steady-state criterion", problems)
 
 
+def _require_finite(exp):
+    """Refuse an experiment with a float parameter that is not finite."""
+    values = [(f.name, getattr(exp, f.name)) for f in fields(exp)]
+    bad = [f"{k}={v}" for k, v in values if isinstance(v, float) and not np.isfinite(v)]
+    if bad:
+        raise ConfigurationError("parameters must be finite, got " + ", ".join(bad))
+
+
 def _default_zeta(variant):
     """The line's second-moment equilibrium coefficient when none is given.
 
@@ -110,7 +117,8 @@ class D1Q3Experiment:
     """Source-driven diffusion on a line with both ends pinned to zero.
 
     ``zeta`` is the second-moment equilibrium coefficient; when None it
-    takes the variant's default (``_default_zeta``).
+    takes the variant's default (``_default_zeta``).  Every float
+    parameter must be finite.
     """
 
     variant: str = "a"
@@ -133,6 +141,7 @@ class D1Q3Experiment:
             raise ConfigurationError(f"grid size n must be >= 5, got {self.n}")
         if self.zeta is None:
             object.__setattr__(self, "zeta", _default_zeta(self.variant))
+        _require_finite(self)
 
     @property
     def diffusivity(self):
@@ -157,7 +166,9 @@ class D2Q9Experiment:
     symmetric about its mid-line, so ``run_to_steady`` marches its lower
     ``(ny + 1) // 2`` rows.  A force-driven flow also depends on y alone,
     so it is marched as one column of those rows and ``nx`` does not
-    change its result; a pressure-driven one marches all ``nx`` columns.
+    change its result.  A pressure-driven one is antisymmetric about its
+    mid-column, so it is marched on the west ``(nx + 1) // 2`` columns of
+    those rows.  Every float parameter must be finite.
     """
 
     driving: str = "force-split-half"
@@ -183,6 +194,7 @@ class D2Q9Experiment:
             raise ConfigurationError(
                 f"grid extents must be >= 5, got nx={self.nx}, ny={self.ny}"
             )
+        _require_finite(self)
         if self.driving == "pressure" and boundaries.sound_speed_sq(self.alpha) <= 0.0:
             raise ConfigurationError(
                 f"alpha={self.alpha} gives a non-positive squared sound speed"
@@ -285,10 +297,13 @@ def run_to_steady(exp, init=None):
     channel is also periodic along x and driven uniformly along it, so a
     start uniform along x stays uniform bitwise: every node runs the same
     operator column and the stream moves identical values onto identical
-    values.  A pressure channel therefore marches ``(9, h, nx)``, a force
+    values.  A pressure channel's scheme is linear and its end offsets
+    opposite, so a start antisymmetric about the mid-column stays so.  A
+    pressure channel therefore marches ``(9, h, (nx + 1) // 2)``, a force
     channel one ``(9, h, 1)`` column, and ``nx`` does not change a force
-    channel's result.  Either is returned mirror-extended, and broadcast
-    along x, to ``(9, ny, nx)``.  Lines march their whole grid.
+    channel's result.  Either is returned rebuilt (``kernels.unfold``),
+    and broadcast along x, to ``(9, ny, nx)``.  Lines march their whole
+    grid.
 
     Parameters
     ----------
@@ -296,11 +311,13 @@ def run_to_steady(exp, init=None):
     init : array, optional
         Starting populations; zeros when omitted.  On a channel it must
         be mirror-symmetric about the mid-line, bitwise, since its upper
-        half is not marched; the linear interpolation of settled states
-        is.  On a force channel every column must be the same too: the
-        periodic channel keeps x-dependent invariants of its start that
-        the steady-state check cannot see, so a start whose columns
-        differ is refused, not reduced to its x-mean.
+        half is not marched, and on a pressure channel antisymmetric about
+        the mid-column, bitwise, since its east half is not; the linear
+        interpolation of settled states is.  On a force channel every
+        column must be the same too: the periodic channel keeps
+        x-dependent invariants of its start that the steady-state check
+        cannot see, so a start whose columns differ is refused, not
+        reduced to its x-mean.
 
     Returns
     -------
@@ -314,7 +331,8 @@ def run_to_steady(exp, init=None):
     ------
     ValueError
         When ``init`` has another shape, is not mirror-symmetric on a
-        channel, or its columns differ on a force channel.
+        channel, its columns differ on a force channel, or it is not
+        antisymmetric on a pressure channel.
     ConvergenceError
         When the criterion's step budget runs out first, or as soon as
         the relative change of a check is not finite (the march diverged).
@@ -332,13 +350,18 @@ def run_to_steady(exp, init=None):
     elif isinstance(exp, D2Q9Experiment):
         shape = (9, exp.ny, exp.nx)
         closures, driving = _channel(exp)
-        marched = (9, (exp.ny + 1) // 2, exp.nx if driving is None else 1)
+        width = exp.nx if driving is None else 1  # one column stands for all
+        across = "antisymmetric about the mid-column" if driving is None else (
+            "the same in every column: the periodic channel keeps the "
+            "x-dependence of its start, which the steady-state check does not see"
+        )
+        marched = (9, (exp.ny + 1) // 2, (width + 1) // 2)
         settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
 
         def run_chunk(f, chunk):
             return kernels.d2q9_run(
                 f, chunk, closures, settings, exp.alpha, exp.beta, driving, exp.fx,
-                ny=exp.ny,
+                ny=exp.ny, nx=width,
             )
 
     else:
@@ -350,21 +373,17 @@ def run_to_steady(exp, init=None):
         f = np.asarray(init, dtype=np.float64)
         if f.shape != shape:
             raise ValueError(f"init shape {f.shape} does not match {shape}")
-        if marched[-1] != shape[-1] and np.any(f != f[..., :1]):
+        part = f[tuple(slice(n) for n in marched)]
+        if marched != shape and np.any(f != kernels.unfold(part, ny=exp.ny, nx=width)):
             raise ValueError(
-                f"init of a {exp.driving} channel must be the same in every "
-                "column: the periodic channel keeps the x-dependence of its "
-                "start, which the steady-state check does not see"
+                f"init of a {exp.driving} channel must be mirror-symmetric about the "
+                f"mid-line and {across}: only {marched[1]} rows of {marched[2]} "
+                "columns are marched"
             )
-        if marched != shape and np.any(f != f[mirror_fold(D2Q9, exp.ny)]):
-            raise ValueError(
-                f"init of a {exp.driving} channel must be mirror-symmetric "
-                "about the mid-line: only its lower half is marched"
-            )
-        f = f[tuple(slice(n) for n in marched)].copy()
+        f = part.copy()
     f, steps = _march(run_chunk, f, exp.criterion)
     if marched != shape:
-        f = f[mirror_fold(D2Q9, exp.ny)]
+        f = kernels.unfold(f, ny=exp.ny, nx=width)
     return np.broadcast_to(f, shape).copy(), steps
 
 

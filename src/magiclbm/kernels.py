@@ -17,11 +17,12 @@ plane without driving multiplies by ``K`` alone.  Operators are built on
 first use and kept in small bounded caches, two lookups per call.
 
 A field symmetric about its mid-line, as a channel between two equal
-walls is, marches on its lower ``(ny + 1) // 2`` rows: ``_mirror_map``
-cuts the full grid's ``idx`` and ``b`` to those rows and reads each
-source above the mid-line as its mirror image below it
-(``lattice.mirror_fold``), so the boundary physics stays that of
-``lattice.stream``.
+walls is, marches on its lower ``(ny + 1) // 2`` rows, and one
+antisymmetric about its mid-column, as a pressure channel is, on its
+west ``(nx + 1) // 2`` columns: ``_mirror_map`` cuts the full grid's
+``idx`` and ``b`` to those and reads each other source from its mirror
+image (``_fold``), negated across the mid-column, so the boundary
+physics stays that of ``lattice.stream``.  ``unfold`` rebuilds the grid.
 
 Both lattices share one time loop, ``_march``, with the gather bound
 once before it.  An observer sees the states in blocks: the loop copies
@@ -35,11 +36,11 @@ import functools
 import numpy as np
 
 from . import collision as col
-from .boundaries import BoundaryClosure
+from .boundaries import PRESSURE_ABB, BoundaryClosure
 from .lattice import D1Q3, D2Q9, build_d1q3_basis, build_d2q9_basis, stream
 from .lattice import from_moments, mirror_fold, to_moments
 
-__all__ = ["d1q3_run", "d2q9_run"]
+__all__ = ["d1q3_run", "d2q9_run", "unfold"]
 
 # Body-force drivings of the plane kernel, named as the experiments name them.
 _FORCINGS = (None, "force-split-half", "force-population")
@@ -114,27 +115,54 @@ def _stream_map(spec, shape, closures, alpha, beta):
 
 
 @functools.lru_cache(maxsize=16)
-def _mirror_map(nx, ny, closures, alpha, beta):
-    """``_stream_map`` of the lower ``(ny + 1) // 2`` rows of a
-    ``(9, ny, nx)`` field that is symmetric about its mid-line.
-
-    The full grid's map is kept for the outputs on those rows, and each
-    source is read where ``lattice.mirror_fold`` keeps its value: a
-    source above the mid-line as the reflected population below it.  The
-    fold covers an odd ``ny`` (mirror on the middle row) and an even one
-    (mirror between the two middle rows).
+def _fold(shape, ny, nx):
+    """Flat indices into a field of ``shape`` where it keeps each value of
+    the full ``(9, ny, nx)`` grid, and whether it keeps it negated: lower
+    rows hold the upper ones' mirror image about the mid-line, west columns
+    the east ones' negated mirror image about the mid-column.
     """
-    full, h = (D2Q9.q, ny, nx), (ny + 1) // 2
+    if shape[1] not in (ny, (ny + 1) // 2) or shape[2] not in (nx, (nx + 1) // 2):
+        raise ValueError(
+            f"a {shape[1]}x{shape[2]} field is not the full {ny}x{nx} grid, its "
+            f"lower {(ny + 1) // 2} rows or its west {(nx + 1) // 2} columns"
+        )
+    j, y, x = np.indices((D2Q9.q, ny, nx)).reshape(3, -1)
+    negated = np.zeros(j.size, dtype=bool)
+    if shape[1] < ny:
+        fold_j, fold_y, _ = mirror_fold(D2Q9, ny, "y")
+        j, y = fold_j[j, y], fold_y[j, y]
+    if shape[2] < nx:
+        fold_j, fold_x, moved = mirror_fold(D2Q9, nx, "x")
+        j, x, negated = fold_j[j, x], fold_x[j, x], moved[j, x]
+    return _frozen(np.ravel_multi_index((j, y, x), shape)), _frozen(negated)
+
+
+@functools.lru_cache(maxsize=16)
+def _mirror_map(shape, ny, nx, closures, alpha, beta):
+    """``_stream_map`` of a field of ``shape`` that holds part of a
+    ``(9, ny, nx)`` grid: the full grid's map for the outputs in the field,
+    each source read where ``_fold`` keeps it, through the signed gather.
+    """
+    full = (D2Q9.q, ny, nx)
+    fold, negated = _fold(shape, ny, nx)
     idx, b, _ = _stream_map(D2Q9, full, closures, alpha, beta)
-    idx = idx.reshape(full)[:, :h].ravel()
-    signed = idx >= np.prod(full)
-    j, y, x = np.unravel_index(idx % np.prod(full), full)
-    fold_j, fold_y = mirror_fold(D2Q9, ny)
-    idx = np.ravel_multi_index((fold_j[j, y], fold_y[j, y], x), (D2Q9.q, h, nx))
-    idx = idx + signed * idx.size
+    part = (slice(None), slice(shape[1]), slice(shape[2]))
+    idx = idx.reshape(full)[part].ravel()
+    source = idx % fold.size
+    signed = (idx >= fold.size) != negated[source]
+    idx = fold[source] + signed * idx.size
     if b is not None:
-        b = _frozen(b.reshape(full)[:, :h].ravel())
+        b = _frozen(b.reshape(full)[part].ravel())
     return _frozen(idx), b, bool(signed.any())
+
+
+def unfold(f, ny=None, nx=None):
+    """The full ``(9, ny, nx)`` grid, a fresh array, of a field that
+    ``d2q9_run`` marches with these ``ny`` and ``nx``."""
+    full = (D2Q9.q, ny or f.shape[1], nx or f.shape[2])
+    fold, negated = _fold(f.shape, *full[1:])
+    g = f.ravel()[fold]
+    return np.negative(g, out=g, where=negated).reshape(full)
 
 
 def _march(f, steps, kc, idx, b, observe):
@@ -185,9 +213,9 @@ def d1q3_run(f, steps, closures, settings, variant, zeta, source=0.0, *, observe
 
 def d2q9_run(
     f, steps, closures, settings, alpha, beta, driving=None, fx=0.0, *, ny=None,
-    observe=None,
+    nx=None, observe=None,
 ):
-    """March the plane scheme ``steps`` cycles; the (9, rows, nx) ``f`` is not modified.
+    """March the plane scheme ``steps`` cycles, leaving the (9, rows, cols) ``f`` as is.
 
     ``closures`` is the tuple of west, east, south and north
     ``BoundaryClosure``; pressure-abb faces impose their ``scalar`` as a
@@ -196,21 +224,30 @@ def d2q9_run(
     body force ``fx`` enters: "force-split-half", "force-population",
     or None for no force.  ``ny`` is the grid's full height, when ``f``
     holds only its lower ``(ny + 1) // 2`` rows: the field is then taken
-    as mirror-symmetric about the mid-line (``_mirror_map``), which holds
-    for a symmetric start when the closures and the driving are
-    symmetric too, as in a channel.  ``observe`` is called as in
-    ``d1q3_run``, with ``(m, 9, rows, nx)`` blocks.
+    as mirror-symmetric about the mid-line, which holds for a symmetric
+    start when the closures and the driving are symmetric too, as in a
+    channel.  ``nx`` is the full width, when ``f`` holds only its west
+    ``(nx + 1) // 2`` columns: the field is then taken as antisymmetric
+    about the mid-column, which holds for an antisymmetric start, and is
+    refused unless the x faces are pressure-abb with opposite scalars and
+    there is no body force.  ``observe`` is called as in ``d1q3_run``,
+    with ``(m, 9, rows, cols)`` blocks.
     """
     alpha, beta = float(alpha), float(beta)
-    _, rows, nx = np.shape(f)
-    if ny is None or ny == rows:
-        idx, b, signed = _stream_map(D2Q9, np.shape(f), closures, alpha, beta)
-    elif rows == (ny + 1) // 2:
-        idx, b, signed = _mirror_map(nx, int(ny), closures, alpha, beta)
+    shape = np.shape(f)
+    ny, nx = int(ny or shape[1]), int(nx or shape[2])
+    if shape[2] < nx:
+        faces = {c.face: (c.kind, c.scalar) for c in closures}
+        kind, scalar = faces.get("west", (None, 0.0))
+        opposite = kind == PRESSURE_ABB and faces.get("east") == (kind, -scalar)
+        if driving is not None or not opposite:
+            raise ValueError(
+                "a field of west columns needs pressure-abb x faces with opposite "
+                "scalars and no body force"
+            )
+    if shape[1:] == (ny, nx):
+        idx, b, signed = _stream_map(D2Q9, shape, closures, alpha, beta)
     else:
-        raise ValueError(
-            f"a field of {rows} rows is neither the full height {ny} nor its "
-            f"lower {(ny + 1) // 2} rows"
-        )
+        idx, b, signed = _mirror_map(shape, ny, nx, closures, alpha, beta)
     operator = _plane_operator(settings.s, alpha, beta, driving, float(fx), signed)
     return _march(f, int(steps), operator, idx, b, observe)

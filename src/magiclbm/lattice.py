@@ -199,21 +199,24 @@ def from_moments(basis, m):
 
 
 @functools.lru_cache(maxsize=16)
-def mirror_fold(spec, ny):
-    """Where a plane field symmetric about its mid-line keeps each value.
+def mirror_fold(spec, n, axis):
+    """Where a plane field mirrored about the middle of one axis keeps each value.
 
-    Returns index arrays ``(j, y)``, each of shape ``(q, ny)``: population
-    ``j0`` on row ``y0`` of such a field equals population ``j[j0, y0]`` on
-    row ``y[j0, y0]``, which is one of the lower ``(ny + 1) // 2`` rows.  A
-    row above the mid-line is read as its mirror image: row ``ny - 1 - y0``,
-    population with ``vy`` negated.  On the middle row of an odd ``ny`` the
-    populations moving down are read as those moving up.
+    ``axis`` ("x" or "y") has extent ``n``.  Returns ``(j, p, moved)``, each
+    of shape ``(q, n)``: population ``j0`` at position ``p0`` along the axis
+    is kept as population ``j[j0, p0]`` at ``p[j0, p0]``, one of the first
+    ``(n + 1) // 2`` positions.  ``moved`` marks the values read from their
+    mirror image (position ``n - 1 - p0``, velocity along the axis negated):
+    every position past the middle and, on the middle one of an odd ``n``,
+    the populations moving towards position 0.
     """
-    index = {v: j for j, v in enumerate(zip(spec.vx, spec.vy))}
-    mirror = np.array([index[vx, -vy] for vx, vy in zip(spec.vx, spec.vy)])
-    j, y = np.indices((spec.q, ny))
-    upper = (2 * y > ny - 1) | ((2 * y == ny - 1) & (spec.vy[j] < 0))
-    fold = np.where(upper, mirror[j], j), np.where(upper, ny - 1 - y, y)
+    v = getattr(spec, "v" + axis)
+    sx, sy = {"x": (-1, 1), "y": (1, -1)}[axis]
+    index = {u: j for j, u in enumerate(zip(spec.vx, spec.vy))}
+    mirror = np.array([index[sx * vx, sy * vy] for vx, vy in zip(spec.vx, spec.vy)])
+    j, p = np.indices((spec.q, n))
+    moved = (2 * p > n - 1) | ((2 * p == n - 1) & (v[j] < 0))
+    fold = np.where(moved, mirror[j], j), np.where(moved, n - 1 - p, p), moved
     for a in fold:
         a.setflags(write=False)
     return fold

@@ -11,13 +11,13 @@ from magiclbm.collision import (
     diffusivity_from_params,
     equilibrium_d1q3,
     equilibrium_d2q9,
-    population_force_increments,
     relax,
     relaxation_d1q3,
     relaxation_d2q9,
     s_to_sigma,
     sigma_to_s,
 )
+from magiclbm import kernels
 from magiclbm.errors import ConfigurationError
 from magiclbm.lattice import build_d2q9_basis
 
@@ -178,12 +178,20 @@ def test_population_force_moment_image():
     assert np.array_equal(out[mask], m[mask])
 
 
+def population_force_column(fx):
+    """The fixed population increment of the population-form force: the
+    constant column of the plane kernel's step operator, which is what one
+    collision adds to a field at rest."""
+    s = relaxation_d2q9(0.375, 1.0).s
+    return kernels._plane_operator(s, -2.0, 1.0, "force-population", fx, False)[:, -1]
+
+
 def test_population_force_increments_match_moment_image():
     # The fixed population increment must map to +fx on the momentum row
     # and -fx on the aligned heat-flux row, nothing else.
     fx = 0.12
     basis = build_d2q9_basis()
-    image = basis.matrix @ population_force_increments(fx)
+    image = basis.matrix @ population_force_column(fx)
     expected = np.zeros(9)
     expected[1] = fx
     expected[5] = -fx
@@ -191,7 +199,7 @@ def test_population_force_increments_match_moment_image():
 
 
 def test_population_force_increment_table():
-    inc = population_force_increments(1.0)
+    inc = population_force_column(1.0)
     expected = np.array([0, 4, 0, -4, 0, 1, -1, -1, 1]) / 12.0
     assert np.allclose(inc, expected, atol=1e-15)
 

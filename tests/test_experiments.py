@@ -51,12 +51,14 @@ from magiclbm.experiments import (
 from magiclbm.experiments import _decay_rate
 from magiclbm.lattice import D2Q9, build_d1q3_basis, build_d2q9_basis, from_moments
 
-# The D2Q9 population with vy negated: a channel's mirror image about its
-# mid-line is f[MIRROR, ::-1].
-MIRROR = np.array([
-    next(k for k in range(9) if (D2Q9.vx[k], D2Q9.vy[k]) == (D2Q9.vx[j], -D2Q9.vy[j]))
-    for j in range(9)
-])
+# The D2Q9 population with vy (MIRROR) or vx (XM) negated: a channel's
+# mirror image about its mid-line is f[MIRROR, ::-1], about its mid-column
+# f[XM, :, ::-1].
+VELOCITIES = list(zip(D2Q9.vx, D2Q9.vy))
+MIRROR, XM = (
+    np.array([VELOCITIES.index((sx * vx, sy * vy)) for vx, vy in VELOCITIES])
+    for sx, sy in ((1, -1), (-1, 1))
+)
 
 # Small-grid stand-ins for the production channels.
 LINE = dict(n=16)
@@ -390,9 +392,10 @@ def test_kernel_calls_go_through_the_module_with_f_and_steps_first(monkeypatch):
 
 def test_marches_run_on_the_cells_they_can_differ_on(monkeypatch):
     # Force channels and plane waves are uniform along a periodic axis, so
-    # the kernel sees one column or one row; a pressure channel is not.
-    # Every channel is symmetric about its mid-line, so the kernel sees its
-    # lower (ny + 1) // 2 rows.
+    # the kernel sees one column or one row; a pressure channel is not, but
+    # it is antisymmetric about its mid-column, so the kernel sees its west
+    # (nx + 1) // 2 columns.  Every channel is symmetric about its mid-line,
+    # so the kernel sees its lower (ny + 1) // 2 rows.
     shapes = []
     real = kernels.d2q9_run
 
@@ -409,9 +412,11 @@ def test_marches_run_on_the_cells_they_can_differ_on(monkeypatch):
         assert np.all(f == f[..., :1]) == (driving != "pressure")
         assert np.any(f != 0.0)
         assert np.array_equal(f, f[MIRROR, ::-1])
+        if driving == "pressure":
+            assert np.array_equal(f, -f[XM, :, ::-1])
     measure_viscosity(0.375, 1.0, nx=8, ny=4, steps=20, skip=2)
     measure_sound_speed(nx=8, ny=3, steps=40)
-    assert shapes == [(9, 3, 1), (9, 3, 1), (9, 3, 6), (9, 1, 8), (9, 1, 8)]
+    assert shapes == [(9, 3, 1), (9, 3, 1), (9, 3, 3), (9, 1, 8), (9, 1, 8)]
 
 
 def full_grid_march(exp):
@@ -449,6 +454,7 @@ def test_pressure_half_settles_as_the_full_grid_does(nx, ny):
     f, steps = run_to_steady(exp)
     assert f.shape == g.shape
     assert np.array_equal(f, f[MIRROR, ::-1])
+    assert np.array_equal(f, -f[XM, :, ::-1])
     assert steps == grid_steps
     for side in ("lower", "upper"):
         assert wall_offset(exp, f, side).delta_q == pytest.approx(
@@ -461,13 +467,30 @@ def test_pressure_half_settles_as_the_full_grid_does(nx, ny):
 def test_channel_refuses_a_start_that_is_not_mirror_symmetric(driving, ny):
     # Only the lower half is marched, so the upper half of such a start
     # would be dropped without a word; it is refused instead.  The mean of
-    # the start and its mirror image is accepted.
+    # the start and its mirror image is accepted.  A pressure channel's start
+    # is made antisymmetric about the mid-column first, as it must be.
     exp = D2Q9Experiment(driving=driving, nx=6, ny=ny)
     noise = 1e-5 * np.random.default_rng(2).normal(size=(9, ny, 1))
     noise = np.broadcast_to(noise, (9, ny, 6))
+    if driving == "pressure":
+        noise = 0.5 * (noise - noise[XM, :, ::-1])
     with pytest.raises(ValueError, match="mirror-symmetric"):
         run_to_steady(exp, init=noise)
     run_to_steady(exp, init=0.5 * (noise + noise[MIRROR, ::-1]))
+
+
+@pytest.mark.parametrize("nx", [6, 7])
+def test_pressure_channel_refuses_a_start_that_is_not_antisymmetric(nx):
+    # Only the west half is marched, so the east half of such a start would
+    # be dropped without a word; it is refused instead.  The start's
+    # antisymmetric part is accepted, and so is the state it settles to.
+    exp = D2Q9Experiment(driving="pressure", nx=nx, ny=7)
+    noise = 1e-5 * np.random.default_rng(3).normal(size=(9, 7, nx))
+    noise = 0.5 * (noise + noise[MIRROR, ::-1])
+    with pytest.raises(ValueError, match="antisymmetric"):
+        run_to_steady(exp, init=noise)
+    f, _ = run_to_steady(exp, init=0.5 * (noise - noise[XM, :, ::-1]))
+    assert run_to_steady(exp, init=f)[1] == exp.criterion.check_every
 
 
 def test_force_channel_refuses_a_start_whose_columns_differ():
@@ -477,6 +500,23 @@ def test_force_channel_refuses_a_start_whose_columns_differ():
     noise = 1e-5 * np.random.default_rng(1).normal(size=(9, 7, 8))
     with pytest.raises(ValueError, match="same in every column"):
         run_to_steady(exp, init=noise)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=str)
+@pytest.mark.parametrize(
+    "make, name",
+    [(D1Q3Experiment, name) for name in ("sigma1", "sigma2", "zeta", "source")]
+    + [
+        (D2Q9Experiment, name)
+        for name in ("sigma5", "sigma8", "alpha", "beta", "s_bulk", "fx", "delta_p")
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_experiments_refuse_non_finite_parameters(make, name, value):
+    # A march would otherwise diverge, or a NaN pressure offset break the
+    # channel's antisymmetry, long after the bad value went in.
+    with pytest.raises(ConfigurationError, match=f"{name}={value}"):
+        make(**{name: value})
 
 
 def test_criterion_validates_its_fields():
@@ -614,9 +654,10 @@ def test_root_searches_march_few_steps():
 
 def test_root_searches_update_few_nodes():
     # Kernel steps times the nodes each one updates: 986k when the pressure
-    # channel marched its whole 40x9 grid, 584k on its lower five rows.
+    # channel marched its whole 40x9 grid, 584k on its lower five rows,
+    # 334k on the west 20 columns of those.
     total = sum(logged_root_search(name)[4] for name in ROOT_SEARCHES)
-    assert total <= 650_000
+    assert total <= 340_000
 
 
 def test_root_searches_multiply_only_the_operator_rows_they_read():

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from magiclbm.boundaries import (
+    BoundaryClosure,
     diffusion_closures,
     force_channel_closures,
     periodic_line_closures,
@@ -528,11 +529,12 @@ def test_wave_uniform_in_y_marches_as_one_row(moment, ny, nx):
 # its lower (ny + 1) // 2 rows march as the grid does
 # ---------------------------------------------------------------------------
 
-# The D2Q9 population with vy negated.
-MIRROR = np.array([
-    next(k for k in range(9) if (D2Q9.vx[k], D2Q9.vy[k]) == (D2Q9.vx[j], -D2Q9.vy[j]))
-    for j in range(9)
-])
+# The D2Q9 population with vy (MIRROR) or vx (XM) negated.
+VELOCITIES = list(zip(D2Q9.vx, D2Q9.vy))
+MIRROR, XM = (
+    np.array([VELOCITIES.index((sx * vx, sy * vy)) for vx, vy in VELOCITIES])
+    for sx, sy in ((1, -1), (-1, 1))
+)
 
 MIRROR_SHAPES = [(9, 5, 7), (9, 6, 7), (9, 9, 40), (9, 8, 40)]
 
@@ -592,3 +594,90 @@ def test_a_field_of_neither_height_is_refused():
     args = (force_channel_closures(), relaxation_d2q9(0.3, 1.1), -2.0, 1.0)
     with pytest.raises(ValueError, match="lower 5 rows"):
         d2q9_run(np.zeros((9, 4, 3)), 1, *args, ny=9)
+
+
+def test_a_field_of_neither_width_is_refused():
+    args = (pressure_channel_closures(3e-6), relaxation_d2q9(0.3, 1.1), -2.0, 1.0)
+    with pytest.raises(ValueError, match="west 4 columns"):
+        d2q9_run(np.zeros((9, 5, 3)), 1, *args, nx=7)
+
+
+# ---------------------------------------------------------------------------
+# Anti-mirror symmetry: a pressure channel from an antisymmetric start stays
+# the negated mirror image of itself about its mid-column, so its west
+# (nx + 1) // 2 columns march as the grid does
+# ---------------------------------------------------------------------------
+
+ANTI_SHAPES = MIRROR_SHAPES + [(9, 9, 7)]
+
+
+@pytest.mark.parametrize("shape", ANTI_SHAPES, ids=str)
+def test_full_pressure_stream_map_is_x_antisymmetric(shape):
+    # The output mirrored about the mid-column pulls the mirrored source, with
+    # the same sign, and gets the opposite offset: an antisymmetric field
+    # streams to an antisymmetric one.
+    idx, b, _ = kernels._stream_map(
+        D2Q9, shape, pressure_channel_closures(3e-6), -2.0, 1.0
+    )
+    size = np.prod(shape)
+    signed = (idx >= size).reshape(shape)
+    j, y, x = (a.reshape(shape) for a in np.unravel_index(idx % size, shape))
+    nx = shape[2]
+
+    def mirrored(a):
+        return a[XM, :, ::-1]
+
+    assert np.array_equal(mirrored(signed), signed)
+    assert np.array_equal(mirrored(XM[j]), j)
+    assert np.array_equal(mirrored(y), y)
+    assert np.array_equal(mirrored(nx - 1 - x), x)
+    assert np.any(b != 0.0)
+    assert np.array_equal(mirrored(b.reshape(shape)), -b.reshape(shape))
+
+
+@pytest.mark.parametrize("fold", ["quarter", "west"])
+@pytest.mark.parametrize("shape", ANTI_SHAPES, ids=str)
+def test_west_columns_march_as_the_antisymmetric_grid_does(shape, fold):
+    closures, driving = MIRROR_CASES["pressure"]
+    ny, nx = shape[1:]
+    h, w = ((ny + 1) // 2 if fold == "quarter" else ny), (nx + 1) // 2
+    args = (closures, relaxation_d2q9(0.3, 1.1), -2.0, 1.0, driving)
+    g = np.random.default_rng(74).normal(size=shape)
+    f = 0.5 * (g + g[MIRROR, ::-1])
+    f = 0.5 * (f - f[XM, :, ::-1])
+    grid = d2q9_run(f, STEPS, *args)
+    part = d2q9_run(f[:, :h, :w], STEPS, *args, ny=ny, nx=nx)
+    assert part.shape == (9, h, w)
+    if nx % 2:  # the middle column's moving populations are their own negated image
+        moving = D2Q9.vx != 0
+        assert np.array_equal(part[XM, :, -1][moving], -part[moving, :, -1])
+    rows = np.concatenate([part, -part[XM, :, : nx // 2][..., ::-1]], axis=2)
+    full = np.concatenate([rows, rows[MIRROR, : ny - h][:, ::-1]], axis=1)
+    assert np.max(np.abs(full - grid)) <= MIRROR_RTOL * np.max(np.abs(f))
+    assert np.array_equal(kernels.unfold(part, ny, nx), full)
+
+
+def east_face(scalar):
+    """A pressure-abb east face of ``scalar`` and the channel's two walls."""
+    east = BoundaryClosure("east", "pressure-abb", scalar)
+    return (east,) + force_channel_closures()[2:]
+
+
+@pytest.mark.parametrize(
+    "closures, driving",
+    [
+        (pressure_channel_closures(3e-6), "force-split-half"),
+        (pressure_channel_closures(3e-6), "force-population"),
+        (force_channel_closures(), None),
+        (force_channel_closures(), "force-split-half"),
+        (pressure_channel_closures(3e-6)[:1] + east_face(-2e-6), None),
+        (pressure_channel_closures(3e-6)[:1] + east_face(3e-6), None),
+    ],
+    ids=["split-half", "population", "periodic", "force", "unequal", "same-sign"],
+)
+def test_west_columns_are_refused_unless_the_march_keeps_them_antisymmetric(
+    closures, driving
+):
+    args = (closures, relaxation_d2q9(0.3, 1.1), -2.0, 1.0, driving, 2e-6)
+    with pytest.raises(ValueError, match="opposite scalars and no body force"):
+        d2q9_run(np.zeros((9, 5, 4)), 1, *args, ny=9, nx=8)
