@@ -118,10 +118,9 @@ def equilibrium_d1q3(variant, rho, zeta):
     The second-moment coefficient is c2 = zeta / 2 for basis variant a
     and c2 = zeta for variant b.
     """
-    v = variant.lower()
-    if v == "a":
+    if variant == "a":
         c2 = 0.5 * zeta
-    elif v == "b":
+    elif variant == "b":
         c2 = zeta
     else:
         raise ValueError(f"unknown line-basis variant {variant!r}, expected 'a' or 'b'")
@@ -156,29 +155,25 @@ def relax(m, meq, settings):
     return (1.0 - s) * m + s * meq
 
 
-def apply_diffusion_source(m, source, phase):
+def apply_diffusion_source(m, source):
     """Add half the per-step density source to the density row.
 
-    Called twice per step: phase "pre" before equilibria are evaluated
-    (so equilibria see the half-updated density) and phase "post" after
-    relaxation.  The full step adds exactly ``source`` to the density.
+    Called twice per step, once before equilibria are evaluated (so
+    equilibria see the half-updated density) and once after relaxation.
+    The full step adds exactly ``source`` to the density.
     """
-    if phase not in ("pre", "post"):
-        raise ValueError(f"phase must be 'pre' or 'post', got {phase!r}")
     out = np.array(m, dtype=np.float64, copy=True)
     out[0] = out[0] + 0.5 * source
     return out
 
 
-def apply_force_split_half(m, fx, phase):
+def apply_force_split_half(m, fx):
     """Add half the body force to the momentum row (split-half pattern).
 
-    Same two-phase pattern as the diffusion source, acting on row 1; the
+    Called twice per step like the diffusion source, acting on row 1; the
     equilibria evaluated between the two halves see the half-updated
     momentum.
     """
-    if phase not in ("pre", "post"):
-        raise ValueError(f"phase must be 'pre' or 'post', got {phase!r}")
     out = np.array(m, dtype=np.float64, copy=True)
     out[1] = out[1] + 0.5 * fx
     return out
@@ -204,9 +199,8 @@ def diffusivity_from_params(variant, sigma1, zeta):
     The two coincide when the variant-a coefficient equals
     (2 + zeta_b) / 3.
     """
-    v = variant.lower()
-    if v == "a":
+    if variant == "a":
         return sigma1 * zeta
-    if v == "b":
+    if variant == "b":
         return sigma1 * (2.0 + zeta) / 3.0
     raise ValueError(f"unknown line-basis variant {variant!r}, expected 'a' or 'b'")

@@ -9,7 +9,9 @@ source file and line where the offending key appears.
 
 Every key is one row of ``_TABLE``; parsing, the rejection of unknown
 keys and of keys not meaningful for the chosen scheme, the canonical
-rendering and hence the hash all walk that table.
+rendering and hence the hash all walk that table.  The scheme's rules are
+the experiment's and the criterion's own: parse_config builds both and
+files each violation under its key.
 
 The parsed RunConfig is fully resolved: every default is filled in at
 parse time, so two documents that describe the same run produce equal
@@ -28,7 +30,6 @@ import re
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
-from .boundaries import sound_speed_sq
 from .collision import s_to_sigma
 from .errors import ConfigurationError
 from .experiments import (
@@ -132,13 +133,6 @@ def _parse_products(text):
     return tuple(sorted(values))
 
 
-def _rate(text):
-    """A relaxation rate, kept as a rate; s_to_sigma rejects s outside (0, 2)."""
-    rate = _finite(text)
-    s_to_sigma(rate)
-    return rate
-
-
 def _rate_as_sigma(text):
     return s_to_sigma(_finite(text))
 
@@ -183,8 +177,9 @@ _POSITIVE = "positive"
 # One row per key, in canonical rendering order: (section, key, RunConfig
 # field, the models or drivings the key is meaningful for (None: every
 # scheme), converter or allowed words, default, lower bound).  A default
-# is a value or a function of the values parsed so far.  An integer
-# bound is inclusive; _POSITIVE asks for every number to exceed zero.
+# is a value or a function of the values parsed so far.  Only command
+# parameters, which no library object holds at parse time, carry a bound:
+# an integer bound is inclusive; _POSITIVE asks every number to exceed 0.
 # The rate spellings s1..s8 share their sigma's field; only the first
 # row of a field is rendered, and [output] is not rendered at all.
 _TABLE = (
@@ -192,21 +187,21 @@ _TABLE = (
     ("scheme", "variant", "variant", _LINE, ("a", "b"), "a", None),
     ("scheme", "driving", "driving", _PLANE, DRIVING_TAGS, "force-split-half", None),
     ("scheme", "zeta", "zeta", _LINE, _finite,
-     lambda v: _default_zeta(v["variant"]), _POSITIVE),
+     lambda v: _default_zeta(v["variant"]), None),
     ("scheme", "alpha", "alpha", _PLANE, _finite, -2.0, None),
     ("scheme", "beta", "beta", _PLANE, _finite, 1.0, None),
-    ("grid", "n", "n", _LINE, int, 32, 5),
-    ("grid", "nx", "nx", _PLANE, int, 100, 5),
-    ("grid", "ny", "ny", _PLANE, int, 21, 5),
-    ("relaxation", "sigma1", "sigma1", _LINE, _finite, 1.0, _POSITIVE),
+    ("grid", "n", "n", _LINE, int, 32, None),
+    ("grid", "nx", "nx", _PLANE, int, 100, None),
+    ("grid", "ny", "ny", _PLANE, int, 21, None),
+    ("relaxation", "sigma1", "sigma1", _LINE, _finite, 1.0, None),
     ("relaxation", "s1", "sigma1", _LINE, _rate_as_sigma, None, None),
-    ("relaxation", "sigma2", "sigma2", _LINE, _finite, 0.125, _POSITIVE),
+    ("relaxation", "sigma2", "sigma2", _LINE, _finite, 0.125, None),
     ("relaxation", "s2", "sigma2", _LINE, _rate_as_sigma, None, None),
-    ("relaxation", "sigma5", "sigma5", _PLANE, _finite, 0.375, _POSITIVE),
+    ("relaxation", "sigma5", "sigma5", _PLANE, _finite, 0.375, None),
     ("relaxation", "s5", "sigma5", _PLANE, _rate_as_sigma, None, None),
-    ("relaxation", "sigma8", "sigma8", _PLANE, _finite, 1.0, _POSITIVE),
+    ("relaxation", "sigma8", "sigma8", _PLANE, _finite, 1.0, None),
     ("relaxation", "s8", "sigma8", _PLANE, _rate_as_sigma, None, None),
-    ("relaxation", "s_bulk", "s_bulk", _PLANE, _rate, 1.2, None),
+    ("relaxation", "s_bulk", "s_bulk", _PLANE, _finite, 1.2, None),
     ("driving", "source", "source", _LINE, _finite, 1e-6, None),
     ("driving", "force_x", "force_x", _FORCE, _finite, 1e-6, None),
     ("driving", "delta_p", "delta_p", _PRESSURE, _finite, 1e-6, None),
@@ -232,6 +227,8 @@ _TABLE = (
 )
 
 _KEYS = {(row[0], row[1]) for row in _TABLE}
+# The first row of each field, where the field's violations are filed.
+_HOME = {row[2]: row[:2] for row in reversed(_TABLE)}
 _SECTIONS = {row[0] for row in _TABLE}
 
 
@@ -407,28 +404,28 @@ def parse_config(text, overrides=(), source="<config>", implied=(None, None)):
             "skip",
             f"skip must be < steps ({values['steps']}), got {values['skip']}",
         )
-    # The criterion states its own rules; each message opens with its field.
-    try:
-        build_criterion(SimpleNamespace(**values))
-    except ConfigurationError as exc:
-        for message in exc.violations:
-            note("criterion", message.partition(" ")[0], message)
-    if values.get("driving") == "pressure":
-        if sound_speed_sq(values["alpha"]) <= 0.0:
-            note(
-                "scheme",
-                "alpha",
-                f"alpha={values['alpha']} gives a non-positive squared sound speed "
-                "(4 + alpha)/6",
-            )
+    # The criterion and the experiment state their own rules, each
+    # message opening with its field; both are built, so both report.
+    cfg = RunConfig(**{f.name: values.get(f.name) for f in fields(RunConfig)})
+    builders = [build_criterion]
+    if values["model"] is not None:
+        builders.append(lambda c: build_experiment(c, SteadyStateCriterion()))
+    for build in builders:
         try:
-            predicted_product(SimpleNamespace(**values))
+            build(cfg)
+        except ConfigurationError as exc:
+            for message in exc.violations:
+                name = re.match(r"\w+", message).group()
+                note(_HOME[name][0], given.get(name, _HOME[name][1]), message)
+    if values.get("driving") == "pressure":
+        try:
+            predicted_product(cfg)
         except ConfigurationError as exc:
             note("scheme", "beta", str(exc))
 
     if problems:
         raise ConfigurationError("invalid configuration", problems)
-    return RunConfig(**{f.name: values.get(f.name) for f in fields(RunConfig)})
+    return cfg
 
 
 def render_config(cfg):
@@ -463,9 +460,9 @@ def build_criterion(cfg):
     )
 
 
-def build_experiment(cfg):
-    """Instantiate the experiment described by a RunConfig."""
-    criterion = build_criterion(cfg)
+def build_experiment(cfg, criterion=None):
+    """The experiment a RunConfig describes, with its criterion unless given."""
+    criterion = criterion or build_criterion(cfg)
     if cfg.model == "d1q3":
         return D1Q3Experiment(
             variant=cfg.variant,

@@ -96,12 +96,22 @@ class SteadyStateCriterion:
             raise ConfigurationError("invalid steady-state criterion", problems)
 
 
-def _require_finite(exp):
-    """Refuse an experiment with a float parameter that is not finite."""
-    values = [(f.name, getattr(exp, f.name)) for f in fields(exp)]
-    bad = [f"{k}={v}" for k, v in values if isinstance(v, float) and not np.isfinite(v)]
-    if bad:
-        raise ConfigurationError("parameters must be finite, got " + ", ".join(bad))
+def _refuse_violations(exp, rules, positive):
+    """Raise one ConfigurationError listing every rule ``exp`` breaks.
+
+    Every float must be finite, each field in ``positive`` above zero, and
+    each (field, holds, requirement) of ``rules`` must hold; a field that
+    is not finite meets no other rule.  Each violation opens with its field.
+    """
+    values = {f.name: getattr(exp, f.name) for f in fields(exp)}
+    bad = [k for k, v in values.items() if isinstance(v, float) and not np.isfinite(v)]
+    rules = [*rules, *((k, values[k] > 0.0, "must be positive") for k in positive)]
+    problems = [f"{k}={values[k]} is not finite" for k in bad] + [
+        f"{k} {requirement}, got {values[k]}"
+        for k, holds, requirement in rules if not (holds or k in bad)
+    ]
+    if problems:
+        raise ConfigurationError(f"invalid {type(exp).__name__}", problems)
 
 
 def _default_zeta(variant):
@@ -117,8 +127,10 @@ class D1Q3Experiment:
     """Source-driven diffusion on a line with both ends pinned to zero.
 
     ``zeta`` is the second-moment equilibrium coefficient; when None it
-    takes the variant's default (``_default_zeta``).  Every float
-    parameter must be finite.
+    takes the variant's default (``_default_zeta``).  Construction
+    refuses, listing every violation at once: a ``variant`` other than
+    "a" or "b", ``n`` < 5, a float that is not finite, and ``sigma1``,
+    ``sigma2`` or ``zeta`` <= 0.
     """
 
     variant: str = "a"
@@ -133,15 +145,12 @@ class D1Q3Experiment:
     factors = ("sigma1", "sigma2")
 
     def __post_init__(self):
-        if self.variant not in ("a", "b"):
-            raise ConfigurationError(
-                f"unknown line-basis variant {self.variant!r}, expected 'a' or 'b'"
-            )
-        if self.n < 5:
-            raise ConfigurationError(f"grid size n must be >= 5, got {self.n}")
         if self.zeta is None:
             object.__setattr__(self, "zeta", _default_zeta(self.variant))
-        _require_finite(self)
+        _refuse_violations(self, [
+            ("variant", self.variant in ("a", "b"), "must be 'a' or 'b'"),
+            ("n", self.n >= 5, "must be >= 5"),
+        ], positive=(*self.factors, "zeta"))
 
     @property
     def diffusivity(self):
@@ -168,7 +177,11 @@ class D2Q9Experiment:
     so it is marched as one column of those rows and ``nx`` does not
     change its result.  A pressure-driven one is antisymmetric about its
     mid-column, so it is marched on the west ``(nx + 1) // 2`` columns of
-    those rows.  Every float parameter must be finite.
+    those rows.  Construction refuses, listing every violation at once:
+    a ``driving`` not in ``DRIVING_TAGS``, ``nx`` or ``ny`` < 5, a float
+    that is not finite, ``sigma5`` or ``sigma8`` <= 0, ``s_bulk`` outside
+    (0, 2), and, under pressure driving, a squared sound speed
+    (4 + alpha)/6 <= 0.
     """
 
     driving: str = "force-split-half"
@@ -186,19 +199,16 @@ class D2Q9Experiment:
     factors = ("sigma5", "sigma8")
 
     def __post_init__(self):
-        if self.driving not in DRIVING_TAGS:
-            raise ConfigurationError(
-                f"unknown driving {self.driving!r}, expected one of {DRIVING_TAGS}"
-            )
-        if self.nx < 5 or self.ny < 5:
-            raise ConfigurationError(
-                f"grid extents must be >= 5, got nx={self.nx}, ny={self.ny}"
-            )
-        _require_finite(self)
-        if self.driving == "pressure" and boundaries.sound_speed_sq(self.alpha) <= 0.0:
-            raise ConfigurationError(
-                f"alpha={self.alpha} gives a non-positive squared sound speed"
-            )
+        pressure = self.driving == "pressure"
+        _refuse_violations(self, [
+            ("driving", self.driving in DRIVING_TAGS, f"must be one of {DRIVING_TAGS}"),
+            ("nx", self.nx >= 5, "must be >= 5"),
+            ("ny", self.ny >= 5, "must be >= 5"),
+            ("s_bulk", 0.0 < self.s_bulk < 2.0,
+             "must lie in the stability interval 0 < s < 2"),
+            ("alpha", not pressure or boundaries.sound_speed_sq(self.alpha) > 0.0,
+             "must give a positive squared sound speed (4 + alpha)/6 under pressure"),
+        ], positive=self.factors)
 
     @property
     def product(self):
@@ -432,8 +442,6 @@ def _with_product(exp, product):
     The line keeps sigma1 and the channel sigma8; the other factor takes
     product / kept.
     """
-    if product <= 0.0:
-        raise ConfigurationError(f"sigma product must be positive, got {product}")
     if isinstance(exp, D1Q3Experiment):
         return replace(exp, sigma2=product / exp.sigma1)
     return replace(exp, sigma5=product / exp.sigma8)
@@ -684,27 +692,25 @@ def _wave_amplitudes(kernel, args, start, n, mode, steps, amplitude):
     return k, np.concatenate(amps)
 
 
-def _plane_wave_amplitudes(
-    moment, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, mode, steps
-):
+def _plane_wave_amplitudes(moment, amplitude, exp, mode, steps):
     """``_wave_amplitudes`` on one row of the fully periodic plane.
 
-    The wave runs along x and is uniform in y, so a ``(1, nx)`` row with
-    periodic faces marches it exactly as a taller plane would.  It is in
-    the density (``moment`` 0) or in the transverse momentum jy
-    (``moment`` 2).
+    The wave runs along x and is uniform in y, so a ``(1, exp.nx)`` row
+    with periodic faces marches it exactly as a taller plane would, with
+    the scheme parameters of the D2Q9Experiment ``exp``.  It is in the
+    density (``moment`` 0) or in the transverse momentum jy (``moment`` 2).
     """
     basis = build_d2q9_basis()
 
     def start(wave):
-        rho_jx_jy = [np.zeros((1, nx))] * 3
+        rho_jx_jy = [np.zeros((1, exp.nx))] * 3
         rho_jx_jy[moment] = wave[None]
-        return from_moments(basis, equilibrium_d2q9(*rho_jx_jy, alpha, beta))
+        return from_moments(basis, equilibrium_d2q9(*rho_jx_jy, exp.alpha, exp.beta))
 
     closures = boundaries.periodic_plane_closures()
-    settings = relaxation_d2q9(sigma5, sigma8, s_bulk)
+    settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
     return _wave_amplitudes(
-        kernels.d2q9_run, (closures, settings, alpha, beta), start, nx,
+        kernels.d2q9_run, (closures, settings, exp.alpha, exp.beta), start, exp.nx,
         mode, steps, amplitude,
     )
 
@@ -718,12 +724,12 @@ def measure_diffusivity(
     at equilibrium and marched with no source; its projection amplitude
     decays like exp(-kappa k^2 t).  The returned kappa comes from a
     log-linear fit, skipping the first ``skip`` steps of kinetic
-    transient.
+    transient.  A D1Q3Experiment checks the scheme parameters.
     """
     exp = D1Q3Experiment(variant=variant, n=n, sigma1=sigma1, sigma2=sigma2, zeta=zeta)
     basis = build_d1q3_basis(exp.variant)
     closures = boundaries.periodic_line_closures()
-    settings = relaxation_d1q3(sigma1, sigma2)
+    settings = relaxation_d1q3(exp.sigma1, exp.sigma2)
     k, amps = _wave_amplitudes(
         kernels.d1q3_run, (closures, settings, exp.variant, exp.zeta),
         lambda wave: from_moments(basis, equilibrium_d1q3(exp.variant, wave, exp.zeta)),
@@ -753,15 +759,16 @@ def measure_viscosity(
     like exp(-nu k^2 t); nu comes from a log-linear fit of the
     projection amplitude.  The wave is uniform in y, so one row of the
     plane is marched; ``ny`` is accepted and does not change the result.
+    A D2Q9Experiment checks the scheme parameters.
     """
+    exp = D2Q9Experiment(nx=nx, sigma5=sigma5, sigma8=sigma8, alpha=alpha, beta=beta,
+                         s_bulk=s_bulk)
 
     def amplitude(proj, f):
         jy = (f[:, 2] + f[:, 5] + f[:, 6]) - (f[:, 4] + f[:, 7] + f[:, 8])
         return np.sum(proj * jy, axis=(1, 2))
 
-    k, amps = _plane_wave_amplitudes(
-        2, amplitude, sigma5, sigma8, s_bulk, alpha, beta, nx, mode, steps
-    )
+    k, amps = _plane_wave_amplitudes(2, amplitude, exp, mode, steps)
     return _decay_rate(amps, skip) / (k * k)
 
 
@@ -783,12 +790,13 @@ def measure_sound_speed(
     projection amplitude (linearly interpolated), and c = omega / k is
     returned.  Validates the squared-sound-speed convention
     (4 + alpha) / 6 used to convert pressure drops to density offsets.
-    As in ``measure_viscosity``, one row of the plane is marched and
-    ``ny`` does not change the result.
+    As in ``measure_viscosity``, one row of the plane is marched, ``ny``
+    does not change the result and a D2Q9Experiment checks the scheme.
     """
+    exp = D2Q9Experiment(nx=nx, sigma5=sigma5, sigma8=sigma8, alpha=alpha, beta=beta,
+                         s_bulk=s_bulk)
     k, amps = _plane_wave_amplitudes(
-        0, lambda proj, f: np.sum(proj * f.sum(axis=1), axis=(1, 2)),
-        sigma5, sigma8, s_bulk, alpha, beta, nx, mode, steps,
+        0, lambda proj, f: np.sum(proj * f.sum(axis=1), axis=(1, 2)), exp, mode, steps
     )
 
     a, b = amps[:-1], amps[1:]

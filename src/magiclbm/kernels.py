@@ -72,9 +72,9 @@ def _affine(collide, q, signed):
 def _line_operator(variant, zeta, s, source, signed):
     basis, settings = build_d1q3_basis(variant), col.RelaxationSettings(s)
     def collide(f):
-        m = col.apply_diffusion_source(to_moments(basis, f), source, "pre")
+        m = col.apply_diffusion_source(to_moments(basis, f), source)
         m = col.relax(m, col.equilibrium_d1q3(variant, m[0], zeta), settings)
-        return from_moments(basis, col.apply_diffusion_source(m, source, "post"))
+        return from_moments(basis, col.apply_diffusion_source(m, source))
     return _affine(collide, 3, signed)
 
 
@@ -86,10 +86,10 @@ def _plane_operator(s, alpha, beta, driving, fx, signed):
     def collide(f):
         m = to_moments(basis, f)
         if driving == "force-split-half":
-            m = col.apply_force_split_half(m, fx, "pre")
+            m = col.apply_force_split_half(m, fx)
         m = col.relax(m, col.equilibrium_d2q9(m[0], m[1], m[2], alpha, beta), settings)
         if driving == "force-split-half":
-            m = col.apply_force_split_half(m, fx, "post")
+            m = col.apply_force_split_half(m, fx)
         elif driving == "force-population":
             m = col.apply_force_population(m, fx)
         return from_moments(basis, m)

@@ -125,8 +125,7 @@ def build_d1q3_basis(variant):
     The two give identical hydrodynamics in the bulk but different
     boundary-layer behaviour, which is the point of keeping both.
     """
-    v = variant.lower()
-    if v == "a":
+    if variant == "a":
         matrix = [
             [1.0, 1.0, 1.0],
             [0.0, 1.0, -1.0],
@@ -137,7 +136,7 @@ def build_d1q3_basis(variant):
             [0.0, 0.5, 1.0],
             [0.0, -0.5, 1.0],
         ]
-    elif v == "b":
+    elif variant == "b":
         matrix = [
             [1.0, 1.0, 1.0],
             [0.0, 1.0, -1.0],
@@ -150,7 +149,7 @@ def build_d1q3_basis(variant):
         ]
     else:
         raise ValueError(f"unknown line-basis variant {variant!r}, expected 'a' or 'b'")
-    return MomentBasis(f"d1q3-{v}", matrix, inverse, ("rho", "j", "e"))
+    return MomentBasis(f"d1q3-{variant}", matrix, inverse, ("rho", "j", "e"))
 
 
 # Integer moment rows for the square lattice, ordered (rho, jx, jy,

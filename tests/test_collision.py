@@ -19,7 +19,7 @@ from magiclbm.collision import (
 )
 from magiclbm import kernels
 from magiclbm.errors import ConfigurationError
-from magiclbm.lattice import build_d2q9_basis
+from magiclbm.lattice import build_d1q3_basis, build_d2q9_basis
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,21 @@ def test_line_equilibrium_rejects_bad_variant():
         equilibrium_d1q3("q", rho=1.0, zeta=1.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_d1q3_basis,
+        lambda v: equilibrium_d1q3(v, rho=1.0, zeta=1.0),
+        lambda v: diffusivity_from_params(v, 1.0, 1.0),
+    ],
+    ids=["basis", "equilibrium", "diffusivity"],
+)
+def test_line_variant_is_case_sensitive(build):
+    # The experiments and the config refuse "A"; the scheme functions agree.
+    with pytest.raises(ValueError, match="variant"):
+        build("A")
+
+
 def test_plane_equilibrium_energy_rows():
     meq = equilibrium_d2q9(rho=1.0, jx=0.0, jy=0.0, alpha=-2.0, beta=1.0)
     assert meq.ravel()[3] == pytest.approx(-2.0)
@@ -146,22 +161,17 @@ def test_relax_rate_one_rows_return_equilibrium_bitwise():
 
 def test_diffusion_source_splits_in_halves():
     m = np.zeros((3, 4))
-    mid = apply_diffusion_source(m, 2e-6, "pre")
-    full = apply_diffusion_source(mid, 2e-6, "post")
+    mid = apply_diffusion_source(m, 2e-6)
+    full = apply_diffusion_source(mid, 2e-6)
     assert np.allclose(mid[0], 1e-6)
     assert np.allclose(full[0], 2e-6)
     assert np.array_equal(full[1:], m[1:])
 
 
-def test_diffusion_source_rejects_unknown_phase():
-    with pytest.raises(ValueError, match="phase"):
-        apply_diffusion_source(np.zeros((3, 1)), 1e-6, "mid")
-
-
 def test_split_half_force_acts_on_momentum_row():
     m = np.zeros((9, 2, 2))
-    mid = apply_force_split_half(m, 4e-6, "pre")
-    full = apply_force_split_half(mid, 4e-6, "post")
+    mid = apply_force_split_half(m, 4e-6)
+    full = apply_force_split_half(mid, 4e-6)
     assert np.allclose(mid[1], 2e-6)
     assert np.allclose(full[1], 4e-6)
     assert np.array_equal(full[0], m[0])

@@ -257,6 +257,32 @@ def test_criterion_violations_name_their_own_key():
     assert "must be >= check_every" in violation
 
 
+def test_criterion_and_experiment_violations_are_filed_together():
+    # The criterion and the experiment are built apart, so a bad criterion
+    # does not hide the experiment's violations.
+    violations = violations_of(
+        MINIMAL_LINE + "zeta = -1\n\n[grid]\nn = 2\n\n[criterion]\ncheck_every = 0\n"
+    )
+    assert len(violations) == 3
+    assert violations[0].startswith("<config>:9: criterion.check_every:")
+    assert "<config>:6: grid.n: n must be >= 5, got 2" in violations
+    assert "<config>:3: scheme.zeta: zeta must be positive, got -1.0" in violations
+
+
+def test_experiment_violations_name_their_own_key():
+    (violation,) = violations_of(MINIMAL_PLANE, overrides=("grid.ny=3",))
+    assert violation.startswith("--override grid.ny: ny must be >= 5")
+    (violation,) = violations_of(MINIMAL_PLANE + "\n[relaxation]\ns_bulk = 2.5\n")
+    assert violation.startswith("<config>:5: relaxation.s_bulk:")
+    assert "0 < s < 2" in violation
+    (violation,) = violations_of(MINIMAL_PLANE + "driving = pressure\nalpha = -5\n")
+    assert violation.startswith("<config>:4: scheme.alpha: alpha must give a positive")
+    # A field is filed under the spelling the document used: this rate is
+    # stable, but its sigma 1/s - 1/2 overflows.
+    (violation,) = violations_of(MINIMAL_LINE + "\n[relaxation]\ns1 = 1e-320\n")
+    assert violation == "<config>:5: relaxation.s1: sigma1=inf is not finite"
+
+
 def test_half_bracket_is_rejected():
     (violation,) = violations_of("[scheme]\nmodel = d1q3\n\n[root]\nbracket_lo = 0.1\n")
     assert "must be given together" in violation

@@ -502,21 +502,72 @@ def test_force_channel_refuses_a_start_whose_columns_differ():
         run_to_steady(exp, init=noise)
 
 
+_PLANE_SCHEME = ("sigma5", "sigma8", "alpha", "beta", "s_bulk")
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=str)
 @pytest.mark.parametrize(
     "make, name",
     [(D1Q3Experiment, name) for name in ("sigma1", "sigma2", "zeta", "source")]
+    + [(D2Q9Experiment, name) for name in (*_PLANE_SCHEME, "fx", "delta_p")]
     + [
-        (D2Q9Experiment, name)
-        for name in ("sigma5", "sigma8", "alpha", "beta", "s_bulk", "fx", "delta_p")
-    ],
-    ids=lambda v: getattr(v, "__name__", v),
+        (functools.partial(measure_diffusivity, variant="a", sigma1=1.0, sigma2=0.125),
+         name)
+        for name in ("sigma1", "sigma2", "zeta")
+    ]
+    + [
+        (functools.partial(measure_viscosity, sigma5=0.375, sigma8=1.0), name)
+        for name in _PLANE_SCHEME
+    ]
+    + [(measure_sound_speed, name) for name in _PLANE_SCHEME],
+    ids=lambda v: getattr(getattr(v, "func", v), "__name__", v),
 )
 def test_experiments_refuse_non_finite_parameters(make, name, value):
-    # A march would otherwise diverge, or a NaN pressure offset break the
-    # channel's antisymmetry, long after the bad value went in.
-    with pytest.raises(ConfigurationError, match=f"{name}={value}"):
+    # A march would otherwise diverge, a NaN pressure offset break the
+    # channel's antisymmetry, or a wave measurement run out of signal, long
+    # after the bad value went in.  The refusal comes before any arithmetic
+    # on the value, so no RuntimeWarning, which this suite makes an error.
+    with pytest.raises(ConfigurationError, match=f"{name}={value}") as excinfo:
         make(**{name: value})
+    assert len(excinfo.value.violations) == 1  # held to no other rule
+
+
+@pytest.mark.parametrize("alpha", [-4.0, -5.0])
+def test_pressure_channel_refuses_a_non_positive_sound_speed(alpha):
+    # (4 + alpha)/6 turns the pressure offset into a density offset; the
+    # force drivings do not use it.
+    with pytest.raises(ConfigurationError) as excinfo:
+        D2Q9Experiment(driving="pressure", alpha=alpha)
+    (violation,) = excinfo.value.violations
+    assert violation.startswith("alpha must give a positive squared sound speed")
+    D2Q9Experiment(driving="force-split-half", alpha=alpha)
+
+
+def test_experiments_list_every_violation():
+    with pytest.raises(ConfigurationError) as excinfo:
+        D1Q3Experiment(n=2, sigma1=-1.0, zeta=0.0)
+    assert excinfo.value.violations == [
+        "n must be >= 5, got 2",
+        "sigma1 must be positive, got -1.0",
+        "zeta must be positive, got 0.0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, name, value",
+    [(D1Q3Experiment, k, v) for k in ("sigma1", "sigma2", "zeta") for v in (0.0, -1.0)]
+    + [(D2Q9Experiment, k, v) for k in ("sigma5", "sigma8") for v in (0.0, -1.0)]
+    + [(D2Q9Experiment, "s_bulk", v) for v in (0.0, -0.5, 2.0, 2.5)],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_experiments_refuse_unstable_parameters_at_construction(make, name, value):
+    # The march would diverge or never settle: a zeta of -1 used to be
+    # found only when a line march ran out of steps.
+    grid = dict(n=8) if make is D1Q3Experiment else dict(nx=8, ny=7)
+    with pytest.raises(ConfigurationError) as excinfo:
+        make(**grid, **{name: value})
+    (violation,) = excinfo.value.violations
+    assert violation.startswith(f"{name} must ")
 
 
 def test_criterion_validates_its_fields():

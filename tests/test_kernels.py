@@ -59,10 +59,10 @@ def _reference_line_collision(variant, sigma1, sigma2, zeta, source):
 
     def collide(f):
         m = to_moments(basis, f)
-        m = apply_diffusion_source(m, source, "pre")
+        m = apply_diffusion_source(m, source)
         meq = equilibrium_d1q3(variant, m[0], zeta)
         m = relax(m, meq, settings)
-        m = apply_diffusion_source(m, source, "post")
+        m = apply_diffusion_source(m, source)
         return from_moments(basis, m)
 
     return collide
@@ -92,11 +92,11 @@ def _reference_plane_collision(sigma5, sigma8, alpha, beta, fx, driving):
     def collide(f):
         m = to_moments(basis, f)
         if driving == "force-split-half":
-            m = apply_force_split_half(m, fx, "pre")
+            m = apply_force_split_half(m, fx)
         meq = equilibrium_d2q9(m[0], m[1], m[2], alpha, beta)
         m = relax(m, meq, settings)
         if driving == "force-split-half":
-            m = apply_force_split_half(m, fx, "post")
+            m = apply_force_split_half(m, fx)
         elif driving == "force-population":
             m = apply_force_population(m, fx)
         return from_moments(basis, m)
