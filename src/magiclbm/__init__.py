@@ -31,7 +31,6 @@ from .lattice import (
     stream,
 )
 from .collision import (
-    RelaxationSettings,
     s_to_sigma,
     sigma_to_s,
     relaxation_d1q3,
@@ -84,7 +83,6 @@ __all__ = [
     "to_moments",
     "from_moments",
     "stream",
-    "RelaxationSettings",
     "s_to_sigma",
     "sigma_to_s",
     "relaxation_d1q3",

@@ -21,7 +21,7 @@ itself along the opposite link, which is what makes it usable as a fill
 during the streaming pass (``lattice.stream``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -56,14 +56,12 @@ class BoundaryClosure:
     ``scalar`` is the imposed density offset for pressure-abb faces
     (signed: positive at the high-pressure end) and must be 0 for every
     other kind.  Closures are immutable and hashable, so a tuple of them
-    can key the kernels' operator caches; the hash is computed once,
-    because the kernels look their operators up on every call.
+    can key the kernels' stream-map caches.
     """
 
     face: str
     kind: str
     scalar: float = 0.0
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -73,10 +71,6 @@ class BoundaryClosure:
         if self.kind != PRESSURE_ABB and self.scalar != 0.0:
             raise ValueError(f"closure kind {self.kind!r} takes no imposed scalar")
         object.__setattr__(self, "scalar", float(self.scalar))
-        object.__setattr__(self, "_hash", hash((self.face, self.kind, self.scalar)))
-
-    def __hash__(self):
-        return self._hash
 
 
 def pressure_abb_coefficient(alpha, beta):

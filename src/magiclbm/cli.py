@@ -8,8 +8,9 @@ companion <command>.plot script that redraws the sweep figure.
 
 Exit codes: 0 success, 2 invalid configuration or usage (an output that
 cannot be written included), 3 a march diverged or ran out of steps
-before settling, 4 a settled result could not be reduced (wall not
-localized, degenerate fit, or measurement signal exhausted).
+before settling, or a transport wave grew, 4 a settled result could not
+be reduced (wall not localized, degenerate fit, or measurement signal
+exhausted).
 
 Single-run commands imply their scheme (for example poiseuille-pressure
 implies model d2q9 with pressure driving), so they work without a
@@ -21,10 +22,10 @@ from the configuration.
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import NamedTuple
 
 from . import results
-from .collision import diffusivity_from_params
 from .config import build_experiment, config_hash, parse_config, predicted_product
 from .errors import (
     ConfigurationError,
@@ -210,17 +211,13 @@ def _cmd_magic_root(cfg):
 def _cmd_transport(cfg):
     model = _MODELS[cfg.model]
     wave = dict(mode=cfg.mode, steps=cfg.steps, skip=cfg.skip)
+    exp = build_experiment(cfg)
     if cfg.model == "d1q3":
-        measured = measure_diffusivity(
-            cfg.variant, cfg.sigma1, cfg.sigma2, zeta=cfg.zeta, n=cfg.measure_n, **wave
-        )
-        formula = diffusivity_from_params(cfg.variant, cfg.sigma1, cfg.zeta)
+        measured = measure_diffusivity(replace(exp, n=cfg.measure_n), **wave)
+        formula = exp.diffusivity
         name, grid = "kappa", str(cfg.measure_n)
     else:
-        measured = measure_viscosity(
-            cfg.sigma5, cfg.sigma8, alpha=cfg.alpha, beta=cfg.beta, s_bulk=cfg.s_bulk,
-            nx=cfg.measure_nx, ny=cfg.measure_ny, **wave,
-        )
+        measured = measure_viscosity(replace(exp, nx=cfg.measure_nx), **wave)
         formula = cfg.sigma8 / 3.0
         name, grid = "nu", f"{cfg.measure_nx}x{cfg.measure_ny}"
     rel_error = abs(measured - formula) / abs(formula)

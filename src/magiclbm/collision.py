@@ -3,7 +3,8 @@
 Each non-conserved moment relaxes toward its equilibrium at its own rate
 ``s``: ``m* = (1 - s) m + s m_eq`` with ``0 < s < 2``.  Conserved rows
 carry ``s = 0`` and pass through unchanged, which keeps conservation
-bit-exact.  Alongside the rate ``s`` the code uses the shifted inverse
+bit-exact.  A scheme's rates are a plain tuple, one per basis row.
+Alongside the rate ``s`` the code uses the shifted inverse
 
     sigma = 1/s - 1/2,  sigma in (0, inf),
 
@@ -32,7 +33,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "RelaxationSettings",
     "s_to_sigma",
     "sigma_to_s",
     "relaxation_d1q3",
@@ -47,30 +47,6 @@ __all__ = [
 ]
 
 _STABILITY_MSG = "outside the stability interval 0 < s < 2"
-
-
-class RelaxationSettings:
-    """Per-moment relaxation rates, one entry per basis row.
-
-    Conserved rows carry rate 0.  Construct through relaxation_d1q3 /
-    relaxation_d2q9 to get the standard rate layout.
-    """
-
-    def __init__(self, s):
-        s = tuple(float(v) for v in s)
-        for v in s:
-            if not 0.0 <= v < 2.0:
-                raise ConfigurationError(f"relaxation rate s={v} {_STABILITY_MSG}")
-        self.s = s
-
-    def as_array(self):
-        return np.array(self.s, dtype=np.float64)
-
-    def __repr__(self):
-        return f"RelaxationSettings({self.s!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, RelaxationSettings) and self.s == other.s
 
 
 def s_to_sigma(s):
@@ -93,12 +69,12 @@ def sigma_to_s(sigma):
 
 
 def relaxation_d1q3(sigma1, sigma2):
-    """Line-lattice rates (0, s1, s2) from the two sigma parameters."""
-    return RelaxationSettings((0.0, sigma_to_s(sigma1), sigma_to_s(sigma2)))
+    """Line-lattice rate tuple (0, s1, s2) from the two sigma parameters."""
+    return (0.0, sigma_to_s(sigma1), sigma_to_s(sigma2))
 
 
 def relaxation_d2q9(sigma5, sigma8, s_bulk=1.2):
-    """Plane-lattice rates from the two swept sigma parameters.
+    """Plane-lattice rate tuple, one per basis row, from the two swept sigmas.
 
     Rows 0-2 are conserved.  The energy and energy-square rows relax at
     the fixed rate ``s_bulk``; the heat-flux pair shares the rate from
@@ -109,7 +85,7 @@ def relaxation_d2q9(sigma5, sigma8, s_bulk=1.2):
         raise ConfigurationError(f"relaxation rate s={s_bulk} {_STABILITY_MSG}")
     s5 = sigma_to_s(sigma5)
     s8 = sigma_to_s(sigma8)
-    return RelaxationSettings((0.0, 0.0, 0.0, s_bulk, s_bulk, s5, s5, s8, s8))
+    return (0.0, 0.0, 0.0, s_bulk, s_bulk, s5, s5, s8, s8)
 
 
 def equilibrium_d1q3(variant, rho, zeta):
@@ -143,15 +119,16 @@ def equilibrium_d2q9(rho, jx, jy, alpha, beta):
     return np.stack([rho, jx, jy, alpha * rho, beta * rho, -jx, -jy, zero, zero])
 
 
-def relax(m, meq, settings):
+def relax(m, meq, rates):
     """Relax moments toward equilibrium: m* = (1 - s) m + s m_eq, row-wise.
 
-    Rows with rate 0 are returned bit-identical; rows with rate 1 return
-    the equilibrium bit-identically.
+    ``rates`` is a tuple of one rate s per row, as ``relaxation_d1q3`` and
+    ``relaxation_d2q9`` lay it out.  Rows with rate 0 are returned
+    bit-identical; rows with rate 1 return the equilibrium bit-identically.
     """
     m = np.asarray(m, dtype=np.float64)
     meq = np.asarray(meq, dtype=np.float64)
-    s = settings.as_array().reshape((m.shape[0],) + (1,) * (m.ndim - 1))
+    s = np.array(rates, dtype=np.float64).reshape((m.shape[0],) + (1,) * (m.ndim - 1))
     return (1.0 - s) * m + s * meq
 
 

@@ -74,7 +74,10 @@ class SteadyStateCriterion:
     from a mix of earlier window ends rather than from the last one; the
     change is still measured from the window's own start to its end, and
     a march stops, and returns, only at the end of a real window.
-    ``max_steps`` bounds the total of kernel steps marched.
+    ``max_steps`` bounds the total of kernel steps marched.  Construction
+    refuses, listing every violation at once: a ``tolerance`` that is not
+    finite or not positive, ``check_every`` < 1 and ``max_steps`` <
+    ``check_every``.
     """
 
     tolerance: float = 1e-15
@@ -82,18 +85,11 @@ class SteadyStateCriterion:
     max_steps: int = 500_000
 
     def __post_init__(self):
-        problems = []
-        if not self.tolerance > 0.0:
-            problems.append(f"tolerance must be positive, got {self.tolerance}")
-        if self.check_every < 1:
-            problems.append(f"check_every must be >= 1, got {self.check_every}")
-        if self.max_steps < self.check_every:
-            problems.append(
-                f"max_steps ({self.max_steps}) must be >= check_every "
-                f"({self.check_every})"
-            )
-        if problems:
-            raise ConfigurationError("invalid steady-state criterion", problems)
+        _refuse_violations(self, [
+            ("check_every", self.check_every >= 1, "must be >= 1"),
+            ("max_steps", self.max_steps >= self.check_every,
+             f"must be >= check_every ({self.check_every})"),
+        ], positive=("tolerance",))
 
 
 def _refuse_violations(exp, rules, positive):
@@ -350,11 +346,11 @@ def run_to_steady(exp, init=None):
     if isinstance(exp, D1Q3Experiment):
         shape = marched = (3, exp.n)
         closures = boundaries.diffusion_closures()
-        settings = relaxation_d1q3(exp.sigma1, exp.sigma2)
+        rates = relaxation_d1q3(exp.sigma1, exp.sigma2)
 
         def run_chunk(f, chunk):
             return kernels.d1q3_run(
-                f, chunk, closures, settings, exp.variant, exp.zeta, exp.source
+                f, chunk, closures, rates, exp.variant, exp.zeta, exp.source
             )
 
     elif isinstance(exp, D2Q9Experiment):
@@ -366,11 +362,11 @@ def run_to_steady(exp, init=None):
             "x-dependence of its start, which the steady-state check does not see"
         )
         marched = (9, (exp.ny + 1) // 2, (width + 1) // 2)
-        settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
+        rates = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
 
         def run_chunk(f, chunk):
             return kernels.d2q9_run(
-                f, chunk, closures, settings, exp.alpha, exp.beta, driving, exp.fx,
+                f, chunk, closures, rates, exp.alpha, exp.beta, driving, exp.fx,
                 ny=exp.ny, nx=width,
             )
 
@@ -655,7 +651,11 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
 
 
 def _decay_rate(amplitudes, skip, floor=1e-12, min_samples=10):
-    """Slope of log-amplitude decay from per-step samples."""
+    """Slope of log-amplitude decay from per-step samples.
+
+    Raises ConvergenceError when the fitted slope is not negative: a wave
+    that grows has no decay rate to report.
+    """
     amps = np.asarray(amplitudes, dtype=np.float64)
     t = np.arange(amps.size, dtype=np.float64)
     usable = np.abs(amps) >= floor
@@ -668,6 +668,8 @@ def _decay_rate(amplitudes, skip, floor=1e-12, min_samples=10):
     tt = t[usable]
     ll = np.log(np.abs(amps[usable]))
     slope, _ = np.polyfit(tt, ll, 1)
+    if not slope < 0.0:
+        raise ConvergenceError(f"wave grows: log-amplitude slope {slope} per step")
     return -float(slope)
 
 
@@ -681,15 +683,20 @@ def _wave_amplitudes(kernel, args, start, n, mode, steps, amplitude):
     marches them, and ``amplitude(proj, states)``, with the projection
     ``proj = 2 wave / n``, reads one amplitude per state of a stack (the
     step on the leading axis): the initial state, then each block the
-    kernel observes.  Returns k and the ``steps + 1`` amplitudes.
+    kernel observes.  Returns k and the ``steps + 1`` amplitudes, or
+    raises ConvergenceError when one is not finite (the wave diverged).
     """
     k = 2.0 * np.pi * mode / n
     wave = np.sin(k * np.arange(n, dtype=np.float64))
     proj = 2.0 / n * wave
     f = start(wave)
     amps = [amplitude(proj, f[None])]
-    kernel(f, steps, *args, observe=lambda block: amps.append(amplitude(proj, block)))
-    return k, np.concatenate(amps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel(f, steps, *args, observe=lambda block: amps.append(amplitude(proj, block)))
+    amps = np.concatenate(amps)
+    if not np.all(np.isfinite(amps)):
+        raise ConvergenceError(f"wave diverged within {steps} steps", steps=steps)
+    return k, amps
 
 
 def _plane_wave_amplitudes(moment, amplitude, exp, mode, steps):
@@ -708,32 +715,32 @@ def _plane_wave_amplitudes(moment, amplitude, exp, mode, steps):
         return from_moments(basis, equilibrium_d2q9(*rho_jx_jy, exp.alpha, exp.beta))
 
     closures = boundaries.periodic_plane_closures()
-    settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
+    rates = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
     return _wave_amplitudes(
-        kernels.d2q9_run, (closures, settings, exp.alpha, exp.beta), start, exp.nx,
+        kernels.d2q9_run, (closures, rates, exp.alpha, exp.beta), start, exp.nx,
         mode, steps, amplitude,
     )
 
 
-def measure_diffusivity(
-    variant, sigma1, sigma2, zeta=None, n=64, mode=1, steps=2000, skip=200
-):
-    """Bulk diffusivity from the decay of a periodic density wave.
+def measure_diffusivity(exp, mode=1, steps=2000, skip=200):
+    """Bulk diffusivity of the D1Q3Experiment ``exp``'s scheme, from the
+    decay of a periodic density wave.
 
-    A sinusoidal density of wavenumber k = 2 pi mode / n is initialized
-    at equilibrium and marched with no source; its projection amplitude
-    decays like exp(-kappa k^2 t).  The returned kappa comes from a
-    log-linear fit, skipping the first ``skip`` steps of kinetic
-    transient.  A D1Q3Experiment checks the scheme parameters.
+    A sinusoidal density of wavenumber k = 2 pi mode / ``exp.n`` is
+    initialized at equilibrium and marched with no source; its projection
+    amplitude decays like exp(-kappa k^2 t).  The returned kappa comes
+    from a log-linear fit, skipping the first ``skip`` steps of kinetic
+    transient.  A wave that grows or diverges raises ConvergenceError.
+    The wave runs on a periodic line with no source, so only the scheme
+    and ``n`` of ``exp`` are read: its source and criterion are not used.
     """
-    exp = D1Q3Experiment(variant=variant, n=n, sigma1=sigma1, sigma2=sigma2, zeta=zeta)
     basis = build_d1q3_basis(exp.variant)
     closures = boundaries.periodic_line_closures()
-    settings = relaxation_d1q3(exp.sigma1, exp.sigma2)
+    rates = relaxation_d1q3(exp.sigma1, exp.sigma2)
     k, amps = _wave_amplitudes(
-        kernels.d1q3_run, (closures, settings, exp.variant, exp.zeta),
+        kernels.d1q3_run, (closures, rates, exp.variant, exp.zeta),
         lambda wave: from_moments(basis, equilibrium_d1q3(exp.variant, wave, exp.zeta)),
-        n, mode, steps,
+        exp.n, mode, steps,
         # vecdot runs the 1-D dot of ``proj @ rho`` on each row, so every
         # amplitude keeps its bits; a gemv of the block rounds differently.
         lambda proj, f: np.vecdot(f[:, 0] + f[:, 1] + f[:, 2], proj),
@@ -741,28 +748,18 @@ def measure_diffusivity(
     return _decay_rate(amps, skip) / (k * k)
 
 
-def measure_viscosity(
-    sigma5,
-    sigma8,
-    alpha=-2.0,
-    beta=1.0,
-    s_bulk=1.2,
-    nx=64,
-    ny=4,
-    mode=1,
-    steps=2000,
-    skip=200,
-):
-    """Shear viscosity from the decay of a periodic transverse shear wave.
+def measure_viscosity(exp, mode=1, steps=2000, skip=200):
+    """Shear viscosity of the D2Q9Experiment ``exp``'s scheme, from the
+    decay of a periodic transverse shear wave.
 
-    Transverse momentum jy = sin(k x) on a fully periodic plane decays
-    like exp(-nu k^2 t); nu comes from a log-linear fit of the
-    projection amplitude.  The wave is uniform in y, so one row of the
-    plane is marched; ``ny`` is accepted and does not change the result.
-    A D2Q9Experiment checks the scheme parameters.
+    Transverse momentum jy = sin(k x), k = 2 pi mode / ``exp.nx``, on a
+    fully periodic plane decays like exp(-nu k^2 t); nu comes from a
+    log-linear fit of the projection amplitude.  The wave is uniform in
+    y, so one row of the plane is marched.  A wave that grows or diverges
+    raises ConvergenceError.  The plane is periodic and undriven, so only
+    the scheme and ``nx`` of ``exp`` are read: its driving, ``fx``,
+    ``delta_p``, ``ny`` and criterion are not used.
     """
-    exp = D2Q9Experiment(nx=nx, sigma5=sigma5, sigma8=sigma8, alpha=alpha, beta=beta,
-                         s_bulk=s_bulk)
 
     def amplitude(proj, f):
         jy = (f[:, 2] + f[:, 5] + f[:, 6]) - (f[:, 4] + f[:, 7] + f[:, 8])
@@ -772,29 +769,19 @@ def measure_viscosity(
     return _decay_rate(amps, skip) / (k * k)
 
 
-def measure_sound_speed(
-    alpha=-2.0,
-    beta=1.0,
-    sigma5=1.0,
-    sigma8=1.0,
-    s_bulk=1.2,
-    nx=64,
-    ny=4,
-    mode=1,
-    steps=4096,
-):
-    """Sound speed from the oscillation of a periodic density wave.
+def measure_sound_speed(exp, mode=1, steps=4096):
+    """Sound speed of the D2Q9Experiment ``exp``'s scheme, from the
+    oscillation of a periodic density wave.
 
-    A standing density wave oscillates at angular frequency c k while
-    decaying; the frequency is read off from the zero crossings of the
-    projection amplitude (linearly interpolated), and c = omega / k is
-    returned.  Validates the squared-sound-speed convention
-    (4 + alpha) / 6 used to convert pressure drops to density offsets.
-    As in ``measure_viscosity``, one row of the plane is marched, ``ny``
-    does not change the result and a D2Q9Experiment checks the scheme.
+    A standing density wave of wavenumber k = 2 pi mode / ``exp.nx``
+    oscillates at angular frequency c k while decaying; the frequency is
+    read off from the zero crossings of the projection amplitude
+    (linearly interpolated), and c = omega / k is returned.  Validates the
+    squared-sound-speed convention (4 + alpha) / 6 used to convert
+    pressure drops to density offsets.  As in ``measure_viscosity``, one
+    row of the plane is marched, only the scheme and ``nx`` of ``exp`` are
+    read, and a wave that diverges raises ConvergenceError.
     """
-    exp = D2Q9Experiment(nx=nx, sigma5=sigma5, sigma8=sigma8, alpha=alpha, beta=beta,
-                         s_bulk=s_bulk)
     k, amps = _plane_wave_amplitudes(
         0, lambda proj, f: np.sum(proj * f.sum(axis=1), axis=(1, 2)), exp, mode, steps
     )

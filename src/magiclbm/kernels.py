@@ -1,7 +1,7 @@
 """Fused collide-stream time loops, derived from the reference modules.
 
 The kernels take what the reference step takes: the face closures as a
-tuple of ``boundaries.BoundaryClosure``, a ``RelaxationSettings``, the
+tuple of ``boundaries.BoundaryClosure``, the tuple of relaxation rates, the
 equilibrium coefficients and the driving.  Collision and stream are
 affine in the populations, so a step is ``f <- sign * (K f + c)[idx] + b``.
 ``K, c`` are the reference collision (``to_moments``, the ``collision``
@@ -23,6 +23,8 @@ west ``(nx + 1) // 2`` columns: ``_mirror_map`` cuts the full grid's
 ``idx`` and ``b`` to those and reads each other source from its mirror
 image (``_fold``), negated across the mid-column, so the boundary
 physics stays that of ``lattice.stream``.  ``unfold`` rebuilds the grid.
+Every plane march goes through ``_mirror_map``: on a full field the fold
+is the identity and the map is ``_stream_map``'s.
 
 Both lattices share one time loop, ``_march``, with the gather bound
 once before it.  An observer sees the states in blocks: the loop copies
@@ -69,25 +71,25 @@ def _affine(collide, q, signed):
 
 
 @functools.lru_cache(maxsize=64)
-def _line_operator(variant, zeta, s, source, signed):
-    basis, settings = build_d1q3_basis(variant), col.RelaxationSettings(s)
+def _line_operator(variant, zeta, rates, source, signed):
+    basis = build_d1q3_basis(variant)
     def collide(f):
         m = col.apply_diffusion_source(to_moments(basis, f), source)
-        m = col.relax(m, col.equilibrium_d1q3(variant, m[0], zeta), settings)
+        m = col.relax(m, col.equilibrium_d1q3(variant, m[0], zeta), rates)
         return from_moments(basis, col.apply_diffusion_source(m, source))
     return _affine(collide, 3, signed)
 
 
 @functools.lru_cache(maxsize=64)
-def _plane_operator(s, alpha, beta, driving, fx, signed):
+def _plane_operator(rates, alpha, beta, driving, fx, signed):
     if driving not in _FORCINGS:
         raise ValueError(f"unknown driving {driving!r}, expected one of {_FORCINGS}")
-    basis, settings = build_d2q9_basis(), col.RelaxationSettings(s)
+    basis = build_d2q9_basis()
     def collide(f):
         m = to_moments(basis, f)
         if driving == "force-split-half":
             m = col.apply_force_split_half(m, fx)
-        m = col.relax(m, col.equilibrium_d2q9(m[0], m[1], m[2], alpha, beta), settings)
+        m = col.relax(m, col.equilibrium_d2q9(m[0], m[1], m[2], alpha, beta), rates)
         if driving == "force-split-half":
             m = col.apply_force_split_half(m, fx)
         elif driving == "force-population":
@@ -139,7 +141,7 @@ def _fold(shape, ny, nx):
 
 @functools.lru_cache(maxsize=16)
 def _mirror_map(shape, ny, nx, closures, alpha, beta):
-    """``_stream_map`` of a field of ``shape`` that holds part of a
+    """``_stream_map`` of a field of ``shape`` that holds all or part of a
     ``(9, ny, nx)`` grid: the full grid's map for the outputs in the field,
     each source read where ``_fold`` keeps it, through the signed gather.
     """
@@ -193,11 +195,11 @@ def _march(f, steps, kc, idx, b, observe):
     return view
 
 
-def d1q3_run(f, steps, closures, settings, variant, zeta, source=0.0, *, observe=None):
+def d1q3_run(f, steps, closures, rates, variant, zeta, source=0.0, *, observe=None):
     """March the line scheme ``steps`` cycles; the (3, n) ``f`` is not modified.
 
     ``closures`` is the tuple of left and right ``BoundaryClosure``
-    (periodic or anti-bounce-back), ``settings`` the line rates,
+    (periodic or anti-bounce-back), ``rates`` the line's rate tuple,
     ``variant`` the moment basis ("a" or "b") and ``zeta`` its energy
     equilibrium coefficient.  ``source`` is the per-step density source,
     added in two halves.  ``observe``, when given, is called with the
@@ -207,19 +209,19 @@ def d1q3_run(f, steps, closures, settings, variant, zeta, source=0.0, *, observe
     keep nor modify it.
     """
     idx, b, signed = _stream_map(D1Q3, np.shape(f), closures, None, None)
-    operator = _line_operator(variant, float(zeta), settings.s, float(source), signed)
+    operator = _line_operator(variant, float(zeta), rates, float(source), signed)
     return _march(f, int(steps), operator, idx, b, observe)
 
 
 def d2q9_run(
-    f, steps, closures, settings, alpha, beta, driving=None, fx=0.0, *, ny=None,
+    f, steps, closures, rates, alpha, beta, driving=None, fx=0.0, *, ny=None,
     nx=None, observe=None,
 ):
     """March the plane scheme ``steps`` cycles, leaving the (9, rows, cols) ``f`` as is.
 
     ``closures`` is the tuple of west, east, south and north
     ``BoundaryClosure``; pressure-abb faces impose their ``scalar`` as a
-    density offset.  ``settings`` holds the nine rates, ``alpha, beta``
+    density offset.  ``rates`` is the tuple of nine rates, ``alpha, beta``
     the energy-row equilibrium coefficients.  ``driving`` says how the
     body force ``fx`` enters: "force-split-half", "force-population",
     or None for no force.  ``ny`` is the grid's full height, when ``f``
@@ -245,9 +247,6 @@ def d2q9_run(
                 "a field of west columns needs pressure-abb x faces with opposite "
                 "scalars and no body force"
             )
-    if shape[1:] == (ny, nx):
-        idx, b, signed = _stream_map(D2Q9, shape, closures, alpha, beta)
-    else:
-        idx, b, signed = _mirror_map(shape, ny, nx, closures, alpha, beta)
-    operator = _plane_operator(settings.s, alpha, beta, driving, float(fx), signed)
+    idx, b, signed = _mirror_map(shape, ny, nx, closures, alpha, beta)
+    operator = _plane_operator(rates, alpha, beta, driving, float(fx), signed)
     return _march(f, int(steps), operator, idx, b, observe)

@@ -31,7 +31,6 @@ from magiclbm.boundaries import (
     pressure_channel_closures,
 )
 from magiclbm.collision import (
-    RelaxationSettings,
     diffusivity_from_params,
     equilibrium_d2q9,
     relax,
@@ -187,17 +186,17 @@ def test_criterion_6_offset_depends_only_on_the_sigma_product():
 
 
 def test_criterion_7_transport_coefficients_match_formulas():
-    kappa_a = measure_diffusivity("a", 1.0, 0.125)
+    kappa_a = measure_diffusivity(D1Q3Experiment(variant="a", n=64, sigma1=1.0, sigma2=0.125))
     formula_a = diffusivity_from_params("a", 1.0, 1.0 / 3.0)
     rel_a = abs(kappa_a - formula_a) / formula_a
     assert rel_a < 2e-2
 
-    kappa_b = measure_diffusivity("b", 1.0, 0.375)
+    kappa_b = measure_diffusivity(D1Q3Experiment(variant="b", n=64, sigma1=1.0, sigma2=0.375))
     formula_b = diffusivity_from_params("b", 1.0, 1.0)
     rel_b = abs(kappa_b - formula_b) / formula_b
     assert rel_b < 2e-2
 
-    nu = measure_viscosity(0.375, 1.0)
+    nu = measure_viscosity(D2Q9Experiment(nx=64, sigma5=0.375, sigma8=1.0))
     rel_nu = abs(nu - 1.0 / 3.0) * 3.0
     assert rel_nu < 2e-2
     print(
@@ -250,7 +249,7 @@ def test_criterion_8_rest_states_are_fixed_under_all_closures():
     # roundoff.
     zeros1 = np.zeros((3, 12))
     out1 = d1q3_run(
-        zeros1, 10, diffusion_closures(), RelaxationSettings((0.0, 1.0, 0.8)),
+        zeros1, 10, diffusion_closures(), (0.0, 1.0, 0.8),
         "a", 1.0 / 3.0,
     )
     assert np.array_equal(out1, zeros1)

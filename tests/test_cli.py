@@ -286,6 +286,24 @@ def test_starved_convergence_exits_3(tmp_path, capsys):
     assert not (tmp_path / "poisson-1d.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides, reason",
+    [
+        ("viscosity", ("scheme.alpha=-3.9",), "wave grows"),
+        ("diffusivity", ("scheme.variant=b", "scheme.zeta=2"), "wave diverged"),
+    ],
+    ids=["viscosity", "diffusivity"],
+)
+def test_unstable_transport_wave_exits_3(tmp_path, capsys, command, overrides, reason):
+    # These used to exit 0 with a negative coefficient in the CSV.
+    args = [item for override in overrides for item in ("--override", override)]
+    assert run_cli(tmp_path, command, *args) == 3
+    err = capsys.readouterr().err
+    assert reason in err
+    assert "Warning" not in err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 def test_degenerate_profile_exits_4(tmp_path, capsys):
     rc = run_cli(
         tmp_path, "poisson-1d",

@@ -1,5 +1,8 @@
 """Tests of configuration parsing, validation, rendering, and hashing."""
 
+import inspect
+from dataclasses import fields
+
 import pytest
 
 from magiclbm.config import (
@@ -12,7 +15,15 @@ from magiclbm.config import (
     render_config,
 )
 from magiclbm.errors import ConfigurationError
-from magiclbm.experiments import D1Q3Experiment, D2Q9Experiment
+from magiclbm.experiments import (
+    DRIVING_TAGS,
+    D1Q3Experiment,
+    D2Q9Experiment,
+    SteadyStateCriterion,
+    find_magic_root,
+    measure_diffusivity,
+    measure_viscosity,
+)
 
 MINIMAL_LINE = "[scheme]\nmodel = d1q3\n"
 MINIMAL_PLANE = "[scheme]\nmodel = d2q9\n"
@@ -60,6 +71,36 @@ def test_default_sweep_spans_the_predictor():
     expected = tuple(sorted(0.125 * f for f in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)))
     assert cfg.products == pytest.approx(expected)
     assert (cfg.bracket_lo, cfg.bracket_hi) == (pytest.approx(0.0625), pytest.approx(0.25))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [MINIMAL_LINE] + [MINIMAL_PLANE + f"driving = {tag}\n" for tag in DRIVING_TAGS],
+    ids=["line", *DRIVING_TAGS],
+)
+def test_defaults_are_the_library_defaults(text):
+    # The config table states each default a second time; the two must not
+    # drift apart.  A key the scheme does not read resolves to None.
+    cfg = parse_config(text)
+    if cfg.model == "d1q3":
+        library = D1Q3Experiment()
+    else:
+        library = D2Q9Experiment(driving=cfg.driving)
+    for field in fields(library):
+        value = getattr(cfg, {"fx": "force_x"}.get(field.name, field.name), None)
+        if value is not None:
+            assert value == getattr(library, field.name), field.name
+    assert build_criterion(cfg) == SteadyStateCriterion()
+    root = inspect.signature(find_magic_root).parameters
+    assert cfg.product_tol == root["product_tol"].default
+    assert cfg.max_evals == root["max_evals"].default
+    for measure in (measure_diffusivity, measure_viscosity):
+        wave = inspect.signature(measure).parameters
+        assert (cfg.mode, cfg.steps, cfg.skip) == tuple(
+            wave[name].default for name in ("mode", "steps", "skip")
+        )
+    prediction = predicted_product(library)
+    assert (cfg.bracket_lo, cfg.bracket_hi) == (0.5 * prediction, 2.0 * prediction)
 
 
 def test_explicit_products_are_sorted():

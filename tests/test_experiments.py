@@ -379,8 +379,8 @@ def test_kernel_calls_go_through_the_module_with_f_and_steps_first(monkeypatch):
     run_to_steady(D1Q3Experiment(n=8, criterion=quick))
     for driving in DRIVING_TAGS:
         run_to_steady(D2Q9Experiment(driving=driving, nx=6, ny=5, criterion=quick))
-    measure_diffusivity("a", 1.0, 0.125, n=8, steps=20, skip=2)
-    measure_viscosity(0.375, 1.0, nx=8, ny=4, steps=20, skip=2)
+    measure_diffusivity(D1Q3Experiment(n=8, sigma1=1.0, sigma2=0.125), steps=20, skip=2)
+    measure_viscosity(D2Q9Experiment(nx=8, sigma5=0.375, sigma8=1.0), steps=20, skip=2)
 
     names = [name for name, _ in calls]
     assert names.count("d1q3_run") == 1 + 1
@@ -414,8 +414,8 @@ def test_marches_run_on_the_cells_they_can_differ_on(monkeypatch):
         assert np.array_equal(f, f[MIRROR, ::-1])
         if driving == "pressure":
             assert np.array_equal(f, -f[XM, :, ::-1])
-    measure_viscosity(0.375, 1.0, nx=8, ny=4, steps=20, skip=2)
-    measure_sound_speed(nx=8, ny=3, steps=40)
+    measure_viscosity(D2Q9Experiment(nx=8, sigma5=0.375, sigma8=1.0), steps=20, skip=2)
+    measure_sound_speed(D2Q9Experiment(nx=8, sigma5=1.0, sigma8=1.0), steps=40)
     assert shapes == [(9, 3, 1), (9, 3, 1), (9, 3, 3), (9, 1, 8), (9, 1, 8)]
 
 
@@ -504,31 +504,38 @@ def test_force_channel_refuses_a_start_whose_columns_differ():
 
 _PLANE_SCHEME = ("sigma5", "sigma8", "alpha", "beta", "s_bulk")
 
+# The experiment each wave measurement reads its scheme from.
+_MEASURED_ON = {
+    measure_diffusivity: functools.partial(
+        D1Q3Experiment, variant="a", sigma1=1.0, sigma2=0.125
+    ),
+    measure_viscosity: functools.partial(D2Q9Experiment, sigma5=0.375, sigma8=1.0),
+    measure_sound_speed: functools.partial(D2Q9Experiment, sigma5=1.0, sigma8=1.0),
+}
+
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=str)
 @pytest.mark.parametrize(
     "make, name",
     [(D1Q3Experiment, name) for name in ("sigma1", "sigma2", "zeta", "source")]
     + [(D2Q9Experiment, name) for name in (*_PLANE_SCHEME, "fx", "delta_p")]
-    + [
-        (functools.partial(measure_diffusivity, variant="a", sigma1=1.0, sigma2=0.125),
-         name)
-        for name in ("sigma1", "sigma2", "zeta")
-    ]
-    + [
-        (functools.partial(measure_viscosity, sigma5=0.375, sigma8=1.0), name)
-        for name in _PLANE_SCHEME
-    ]
+    + [(measure_diffusivity, name) for name in ("sigma1", "sigma2", "zeta")]
+    + [(measure_viscosity, name) for name in _PLANE_SCHEME]
     + [(measure_sound_speed, name) for name in _PLANE_SCHEME],
-    ids=lambda v: getattr(getattr(v, "func", v), "__name__", v),
+    ids=lambda v: getattr(v, "__name__", v),
 )
 def test_experiments_refuse_non_finite_parameters(make, name, value):
     # A march would otherwise diverge, a NaN pressure offset break the
     # channel's antisymmetry, or a wave measurement run out of signal, long
-    # after the bad value went in.  The refusal comes before any arithmetic
-    # on the value, so no RuntimeWarning, which this suite makes an error.
+    # after the bad value went in.  A measurement takes its scheme from an
+    # experiment, so the value is refused before the wave is built.  The
+    # refusal comes before any arithmetic on the value, so no RuntimeWarning,
+    # which this suite makes an error.
     with pytest.raises(ConfigurationError, match=f"{name}={value}") as excinfo:
-        make(**{name: value})
+        if make in _MEASURED_ON:
+            make(_MEASURED_ON[make](**{name: value}))
+        else:
+            make(**{name: value})
     assert len(excinfo.value.violations) == 1  # held to no other rule
 
 
@@ -573,6 +580,9 @@ def test_experiments_refuse_unstable_parameters_at_construction(make, name, valu
 def test_criterion_validates_its_fields():
     with pytest.raises(ConfigurationError):
         SteadyStateCriterion(tolerance=-1.0)
+    # An infinite tolerance would settle a march after its first window.
+    with pytest.raises(ConfigurationError, match="tolerance=inf is not finite"):
+        SteadyStateCriterion(tolerance=np.inf)
     with pytest.raises(ConfigurationError):
         SteadyStateCriterion(check_every=0)
     with pytest.raises(ConfigurationError):
@@ -780,13 +790,13 @@ def test_pressure_root_error_falls_with_channel_length():
 
 
 def test_measured_diffusivity_matches_formula_variant_a():
-    kappa = measure_diffusivity("a", 0.8, 0.125)
+    kappa = measure_diffusivity(D1Q3Experiment(variant="a", n=64, sigma1=0.8, sigma2=0.125))
     expected = diffusivity_from_params("a", 0.8, 1.0 / 3.0)
     assert kappa == pytest.approx(expected, rel=2e-2)
 
 
 def test_measured_diffusivity_matches_formula_variant_b():
-    kappa = measure_diffusivity("b", 0.8, 0.125)
+    kappa = measure_diffusivity(D1Q3Experiment(variant="b", n=64, sigma1=0.8, sigma2=0.125))
     expected = diffusivity_from_params("b", 0.8, 1.0)
     assert kappa == pytest.approx(expected, rel=2e-2)
 
@@ -794,18 +804,23 @@ def test_measured_diffusivity_matches_formula_variant_b():
 def test_diffusivity_ignores_the_second_relaxation_rate():
     # The decay fit carries a kinetic systematic that shrinks with the
     # wavelength; 128 nodes push it well under the half-percent claim.
-    slow = measure_diffusivity("a", 0.8, 0.2, n=128, steps=4000, skip=400)
-    fast = measure_diffusivity("a", 0.8, 1.2, n=128, steps=4000, skip=400)
+    slow, fast = (
+        measure_diffusivity(D1Q3Experiment(n=128, sigma1=0.8, sigma2=sigma2),
+                            steps=4000, skip=400)
+        for sigma2 in (0.2, 1.2)
+    )
     assert slow == pytest.approx(fast, rel=5e-3)
 
 
 def test_measured_viscosity_matches_formula():
-    nu = measure_viscosity(0.375, 0.6)
+    nu = measure_viscosity(D2Q9Experiment(nx=64, sigma5=0.375, sigma8=0.6))
     assert nu == pytest.approx(0.6 / 3.0, rel=2e-2)
 
 
 def test_measured_sound_speed_matches_convention():
-    c = measure_sound_speed(alpha=-2.0, beta=1.0)
+    c = measure_sound_speed(
+        D2Q9Experiment(nx=64, sigma5=1.0, sigma8=1.0, alpha=-2.0, beta=1.0)
+    )
     assert c == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-2)
 
 
@@ -886,9 +901,11 @@ def _one_step_sound_speed(alpha, beta, sigma5, sigma8, s_bulk, nx, ny, mode, ste
     ids=["a-0.3333333333333333", "b-1.0", "b-0.6", "a-n64", "b-n64"],
 )
 def test_diffusivity_equals_the_one_step_loop(variant, zeta, n, sigma1, sigma2):
-    args = dict(n=n, mode=1, steps=300, skip=30)
-    got = measure_diffusivity(variant, sigma1, sigma2, zeta=zeta, **args)
-    assert got == _one_step_diffusivity(variant, sigma1, sigma2, zeta, **args)
+    exp = D1Q3Experiment(variant=variant, n=n, sigma1=sigma1, sigma2=sigma2, zeta=zeta)
+    got = measure_diffusivity(exp, mode=1, steps=300, skip=30)
+    assert got == _one_step_diffusivity(
+        variant, sigma1, sigma2, zeta, n=n, mode=1, steps=300, skip=30
+    )
 
 
 @pytest.mark.parametrize(
@@ -897,14 +914,17 @@ def test_diffusivity_equals_the_one_step_loop(variant, zeta, n, sigma1, sigma2):
     ids=["-2.0-1.0", "-2.5-2.5", "-2.0-1.0-64x4"],
 )
 def test_viscosity_equals_the_one_step_loop(alpha, beta, nx, ny):
+    # The oracle marches every row of an ny-row plane; the measurement one.
+    exp = D2Q9Experiment(nx=nx, sigma5=0.4, sigma8=0.9, alpha=alpha, beta=beta, s_bulk=1.3)
+    got = measure_viscosity(exp, mode=1, steps=300, skip=30)
     args = dict(s_bulk=1.3, nx=nx, ny=ny, mode=1, steps=300, skip=30)
-    got = measure_viscosity(0.4, 0.9, alpha=alpha, beta=beta, **args)
     assert got == _one_step_viscosity(0.4, 0.9, alpha, beta, **args)
 
 
 def test_sound_speed_equals_the_one_step_loop():
+    exp = D2Q9Experiment(nx=16, sigma5=0.6, sigma8=0.9, alpha=-1.0, beta=0.5, s_bulk=1.2)
+    got = measure_sound_speed(exp, mode=1, steps=400)
     args = dict(sigma5=0.6, sigma8=0.9, s_bulk=1.2, nx=16, ny=3, mode=1, steps=400)
-    got = measure_sound_speed(alpha=-1.0, beta=0.5, **args)
     assert got == _one_step_sound_speed(-1.0, 0.5, **args)
 
 
@@ -919,15 +939,22 @@ def test_vecdot_rounds_like_the_one_dimensional_product(n):
         assert np.array_equal(np.vecdot(rows, proj), expect)
 
 
+def measure_benchmark_transport():
+    """The benchmark's transport round: the diffusivity of lines a and b on
+    64 nodes and the viscosity on a 64-node row, 2,000 steps each."""
+    args = dict(mode=1, steps=2000, skip=200)
+    for variant, sigma2 in (("a", 0.125), ("b", 0.375)):
+        exp = D1Q3Experiment(variant=variant, n=64, sigma1=1.0, sigma2=sigma2)
+        measure_diffusivity(exp, **args)
+    measure_viscosity(D2Q9Experiment(nx=64, sigma5=0.375, sigma8=1.0), **args)
+
+
 def test_transport_measurements_multiply_only_the_operator_rows_they_read(
     monkeypatch,
 ):
     # Periodic lines and planes without a source or force: the plain K.
     marches = kernel_marches(monkeypatch)
-    args = dict(mode=1, steps=2000, skip=200)
-    measure_diffusivity("a", 1.0, 0.125, zeta=1.0 / 3.0, n=64, **args)
-    measure_diffusivity("b", 1.0, 0.375, zeta=1.0, n=64, **args)
-    measure_viscosity(0.375, 1.0, alpha=-2.0, beta=1.0, nx=64, ny=4, **args)
+    measure_benchmark_transport()
     assert [shape for shape, _, _ in marches] == [(3, 3), (3, 3), (9, 9)]
 
 
@@ -950,17 +977,34 @@ def test_transport_measurements_observe_in_few_blocks(monkeypatch):
 
     for name in ("d1q3_run", "d2q9_run"):
         monkeypatch.setattr(kernels, name, counting(name))
-    args = dict(mode=1, steps=2000, skip=200)
-    measure_diffusivity("a", 1.0, 0.125, zeta=1.0 / 3.0, n=64, **args)
-    measure_diffusivity("b", 1.0, 0.375, zeta=1.0, n=64, **args)
-    measure_viscosity(0.375, 1.0, alpha=-2.0, beta=1.0, nx=64, ny=4, **args)
+    measure_benchmark_transport()
     assert sum(blocks) == 6000
     assert len(blocks) <= 200
 
 
+@pytest.mark.parametrize(
+    "measure, exp, wave, reason",
+    [
+        (measure_viscosity, D2Q9Experiment(nx=64, alpha=-3.9), dict(steps=400, skip=40),
+         "wave grows"),
+        (measure_diffusivity, D1Q3Experiment(variant="b", n=64, zeta=2.0), {},
+         "wave diverged"),
+        (measure_sound_speed, D2Q9Experiment(nx=64, alpha=-3.9), {}, "wave diverged"),
+    ],
+    ids=["viscosity-grows", "diffusivity-diverges", "sound-speed-diverges"],
+)
+def test_unstable_scheme_wave_raises_convergence_error(measure, exp, wave, reason):
+    # An unstable scheme has no transport coefficient to report (linear
+    # stability: Lallemand & Luo, Phys. Rev. E 61, 6546 (2000)); its fit
+    # used to return a negative one, after RuntimeWarnings on overflow.
+    with pytest.raises(ConvergenceError, match=reason):
+        measure(exp, **wave)
+
+
 def test_exhausted_mode_raises_measurement_error():
+    exp = D1Q3Experiment(variant="a", n=16, sigma1=0.8, sigma2=0.125)
     with pytest.raises(MeasurementError, match="mode exhausted"):
-        measure_diffusivity("a", 0.8, 0.125, n=16, steps=60, skip=55)
+        measure_diffusivity(exp, steps=60, skip=55)
 
 
 # ---------------------------------------------------------------------------

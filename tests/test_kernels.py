@@ -24,7 +24,6 @@ from magiclbm.boundaries import (
     pressure_channel_closures,
 )
 from magiclbm.collision import (
-    RelaxationSettings,
     apply_diffusion_source,
     apply_force_population,
     apply_force_split_half,
@@ -375,7 +374,7 @@ def test_operators_are_built_on_first_use_without_scipy():
 def test_line_march_is_additive():
     rng = np.random.default_rng(60)
     f = rng.normal(size=(3, 12))
-    args = (diffusion_closures(), RelaxationSettings((0.0, 0.8, 0.3)), "b", 1.0, 1e-6)
+    args = (diffusion_closures(), (0.0, 0.8, 0.3), "b", 1.0, 1e-6)
     whole = d1q3_run(f, 10, *args)
     split = d1q3_run(d1q3_run(f, 6, *args), 4, *args)
     assert np.array_equal(whole, split)
@@ -444,7 +443,7 @@ def test_kernel_does_not_modify_input():
     line, plane = rng.normal(size=(3, 8)), rng.normal(size=(9, 5, 6))
     keep_line, keep_plane = line.copy(), plane.copy()
     line_args = (
-        periodic_line_closures(), RelaxationSettings((0.0, 1.0, 0.5)), "a", 0.5, 1e-6
+        periodic_line_closures(), (0.0, 1.0, 0.5), "a", 0.5, 1e-6
     )
     plane_args = (
         pressure_channel_closures(3e-6), relaxation_d2q9(0.3, 1.1), -2.0, 1.0
@@ -566,6 +565,28 @@ def test_full_stream_map_is_mirror_symmetric(shape, case):
     assert np.array_equal(mirrored(x), x)
     if b is not None:
         assert np.array_equal(mirrored(b.reshape(shape)), b.reshape(shape))
+
+
+FULL_FIELDS = {
+    "periodic-row": ((9, 1, 64), periodic_plane_closures()),
+    "force-channel": ((9, 9, 7), force_channel_closures()),
+    "pressure-grid": ((9, 9, 40), pressure_channel_closures(3e-6)),
+}
+
+
+@pytest.mark.parametrize("case", list(FULL_FIELDS))
+def test_mirror_map_of_a_full_field_is_the_stream_map(case):
+    # Every plane march reads its map through _mirror_map; on a full field
+    # the fold is the identity, so the map must be _stream_map's, bitwise.
+    shape, closures = FULL_FIELDS[case]
+    idx, b, signed = kernels._mirror_map(shape, *shape[1:], closures, -2.0, 1.0)
+    plain_idx, plain_b, plain_signed = kernels._stream_map(
+        D2Q9, shape, closures, -2.0, 1.0
+    )
+    assert np.array_equal(idx, plain_idx)
+    assert (b is None) == (plain_b is None)
+    assert b is None or np.array_equal(b, plain_b)
+    assert signed == plain_signed
 
 
 # Measured at most 6.6e-17 of the start's scale after STEPS steps; the
