@@ -182,8 +182,9 @@ def wall_location(fit, x_b, dx, side):
     root = min(fit.roots, key=lambda r: abs(r - x_b))
     delta_q = outward * (root - x_b) / dx
     if not -1.0 <= delta_q <= 2.0:
+        window = "x_b - 2 dx, x_b + dx" if side == "lower" else "x_b - dx, x_b + 2 dx"
         raise LocalizationError(
             f"wall not localized: nearest root {root!r} outside the window "
-            f"[x_b - 2 dx, x_b + dx] around node {x_b!r} (side {side!r})"
+            f"[{window}] around node {x_b!r} (side {side!r})"
         )
     return WallLocationResult(delta_q, side, root)

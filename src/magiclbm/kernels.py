@@ -27,13 +27,16 @@ Every plane march goes through ``_mirror_map``: on a full field the fold
 is the identity and the map is ``_stream_map``'s.
 
 Both lattices share one time loop, ``_march``, with the gather bound
-once before it.  An observer sees the states in blocks: the loop copies
-each state into the next row of a reused block of about
-``_OBSERVE_BYTES`` and hands the block over when it is full, and once
-more for the rest, so observing costs one call per block, not per step.
+once before it.  The loop steps through a ring of m states: step k
+multiplies row k - 1 (mod m) and gathers into row k, so the march keeps
+m consecutive states with no copy.  Unobserved, m is 1 and the step is
+in place.  Observed, the ring holds about ``_OBSERVE_BYTES``, and the
+observer is handed a read-only view of it when it is full, and once more
+for the rest, so observing costs one call per block, not per step.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -170,29 +173,25 @@ def unfold(f, ny=None, nx=None):
 def _march(f, steps, kc, idx, b, observe):
     f = np.asarray(f, dtype=np.float64)
     q = len(f)
-    state = np.ones((kc.shape[1], f.size // q))
-    state[:q] = f.reshape(q, -1)
-    post = np.empty((len(kc), state.shape[1]))
-    flat = state[:q].reshape(-1)
-    view = state[:q].reshape(f.shape)
+    m = 1 if observe is None else max(1, min(steps, _OBSERVE_BYTES // f.nbytes))
+    ring = np.ones((m, kc.shape[1], f.size // q))
+    states = ring[:, :q].reshape((m,) + f.shape)
+    states[-1] = f
+    post = np.empty((len(kc), ring.shape[2]))
     dot, take = np.dot, post.reshape(-1).take
-    if observe is not None:
-        block = np.empty((max(1, min(steps, _OBSERVE_BYTES // f.nbytes)),) + f.shape)
-        rows = 0
-    for _ in range(steps):
-        dot(kc, state, post)
-        take(idx, out=flat, mode="clip")
+    writes = states.reshape(m, -1)
+    rows = [(ring[k - 1], writes[k]) for k in range(m)]
+    last = rows[-1][1] if observe is not None else None
+    for src, dst in itertools.islice(itertools.cycle(rows), steps):
+        dot(kc, src, post)
+        take(idx, out=dst, mode="clip")
         if b is not None:
-            flat += b
-        if observe is not None:
-            block[rows] = view
-            rows += 1
-            if rows == len(block):
-                observe(block)
-                rows = 0
-    if observe is not None and rows:
-        observe(block[:rows])
-    return view
+            dst += b
+        if dst is last:
+            observe(_frozen(states.view()))
+    if observe is not None and steps % m:
+        observe(_frozen(states[: steps % m]))
+    return states[(steps - 1) % m]
 
 
 def d1q3_run(f, steps, closures, rates, variant, zeta, source=0.0, *, observe=None):
@@ -205,8 +204,9 @@ def d1q3_run(f, steps, closures, rates, variant, zeta, source=0.0, *, observe=No
     added in two halves.  ``observe``, when given, is called with the
     states after the steps in order, as ``(m, 3, n)`` blocks of m >= 1
     consecutive steps (all ``steps`` states over its calls, none when
-    ``steps`` is 0).  The block is reused: the observer must neither
-    keep nor modify it.
+    ``steps`` is 0).  The block is a read-only view of the march's own
+    states, valid only during the call: the observer must neither keep
+    nor modify it.
     """
     idx, b, signed = _stream_map(D1Q3, np.shape(f), closures, None, None)
     operator = _line_operator(variant, float(zeta), rates, float(source), signed)

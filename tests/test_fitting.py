@@ -145,6 +145,23 @@ def test_wall_location_rejects_far_roots():
         wall_location(fit, x_b=0.0, dx=1.0, side="lower")
 
 
+@pytest.mark.parametrize(
+    "side, far, near, window",
+    [
+        ("lower", (-2.5, 30.0), (-1.5, 30.0), "[x_b - 2 dx, x_b + dx]"),
+        ("upper", (-30.0, 2.5), (-30.0, 1.5), "[x_b - dx, x_b + 2 dx]"),
+    ],
+)
+def test_far_root_error_states_its_sides_window(side, far, near, window):
+    # The window reaches two spacings outward and one inward, so the upper
+    # side's is the lower side's mirror image: a root 1.5 spacings out is
+    # admitted and one 2.5 out is refused, with that side's window.
+    assert wall_location(_fit_with_roots(*near), 0.0, 1.0, side).delta_q == pytest.approx(1.5)
+    with pytest.raises(LocalizationError) as raised:
+        wall_location(_fit_with_roots(*far), 0.0, 1.0, side)
+    assert f"outside the window {window}" in str(raised.value)
+
+
 def test_window_admits_offsets_between_minus_one_and_two():
     lower_edge = wall_location(
         _fit_with_roots(-1.99, 30.0), x_b=0.0, dx=1.0, side="lower"

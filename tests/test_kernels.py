@@ -417,13 +417,21 @@ def test_observed_march_equals_chained_one_step_calls(case, monkeypatch):
     # The observer gets the n states in order, in blocks that fill the byte
     # budget (one state at least) and a last partial one, bitwise the states
     # the chained one-step calls reach; the march ends on the last one.
+    # The budgets cover the ring's wrap edges: one full block, a budget
+    # clipped to the step count, and a march that ends on the last row.
     shape, run = OBSERVED_CASES[case]
     f = np.random.default_rng(64).normal(size=shape)
-    for states, sizes in ((3.5, [3, 3, 3, 3, 1]), (0.5, [1] * 13)):
+    for states, n, sizes in (
+        (3.5, 13, [3, 3, 3, 3, 1]),
+        (0.5, 13, [1] * 13),
+        (13, 13, [13]),
+        (20, 13, [13]),
+        (4, 12, [4, 4, 4]),
+    ):
         budget = int(states * f.nbytes)
         monkeypatch.setattr(kernels, "_OBSERVE_BYTES", budget)
         blocks = []
-        got = run(f, 13, observe=lambda block: blocks.append(block.copy()))
+        got = run(f, n, observe=lambda block: blocks.append(block.copy()))
         assert [len(block) for block in blocks] == sizes
         assert all(block.nbytes <= max(budget, f.nbytes) for block in blocks)
         chained = f
@@ -431,11 +439,25 @@ def test_observed_march_equals_chained_one_step_calls(case, monkeypatch):
             chained = run(chained, 1)
             assert np.array_equal(state, chained)
         assert np.array_equal(got, chained)
-        assert np.array_equal(run(f, 13), got)
+        assert np.array_equal(run(f, n), got)
     calls = []
     assert np.array_equal(run(f, 0, observe=calls.append), f)
     assert calls == []
 
+
+
+@pytest.mark.parametrize("case", list(OBSERVED_CASES))
+def test_observer_block_is_read_only(case):
+    # The block is a view of the march's own states, so writing into it
+    # would change the march: it is refused.
+    shape, run = OBSERVED_CASES[case]
+    f = np.random.default_rng(65).normal(size=shape)
+
+    def scribble(block):
+        block[0] = 0.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        run(f, 5, observe=scribble)
 
 def test_kernel_does_not_modify_input():
     # Zero steps return an independent copy; no step count writes to f.
