@@ -26,7 +26,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import results
-from .config import build_experiment, config_hash, parse_config, predicted_product
+from .config import build_experiment, config_hash, parse_config
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -35,10 +35,13 @@ from .errors import (
     MeasurementError,
 )
 from .experiments import (
+    D1Q3Experiment,
+    D2Q9Experiment,
     density_profile,
     find_magic_root,
     measure_diffusivity,
     measure_viscosity,
+    predicted_product,
     run_to_steady,
     sweep_product,
     velocity_profile,
@@ -97,44 +100,48 @@ class _Model(NamedTuple):
 
     sigmas: tuple  # the swept sigma pair
     params: tuple  # scheme parameters echoed after it
-    amplitudes: tuple  # driving amplitude keys; a scheme reads one of them
     profile: tuple  # abscissa and value columns of the settled profile
     figure: str  # the sweep figure
 
 
 _MODELS = {
-    "d1q3": _Model(("sigma1", "sigma2"), ("zeta",), ("source",), ("x", "rho"), "fig2"),
-    "d2q9": _Model(
-        ("sigma5", "sigma8"), ("alpha", "beta", "s_bulk"), ("force_x", "delta_p"),
-        ("y", "jx"), "fig4",
+    D1Q3Experiment: _Model(("sigma1", "sigma2"), ("zeta",), ("x", "rho"), "fig2"),
+    D2Q9Experiment: _Model(
+        ("sigma5", "sigma8"), ("alpha", "beta", "s_bulk"), ("y", "jx"), "fig4"
     ),
 }
 
 
-def _echo(cfg, names):
-    """Metadata items of the named config values, skipping unset ones."""
-    items = [(name, getattr(cfg, name)) for name in names]
-    return [(name, value) for name, value in items if value is not None]
+def _echo(exp, names):
+    """Metadata items of the named experiment fields."""
+    return [(name, getattr(exp, name)) for name in names]
+
+
+def _amplitude(exp):
+    """Metadata item of the driving amplitude the scheme reads."""
+    if isinstance(exp, D1Q3Experiment):
+        return ("source", exp.source)
+    if exp.driving == "pressure":
+        return ("delta_p", exp.delta_p)
+    return ("force_x", exp.fx)
 
 
 def _base_metadata(cfg):
-    if cfg.model == "d1q3":
-        variant, grid = f"d1q3-{cfg.variant}", str(cfg.n)
-    else:
-        variant, grid = cfg.driving, f"{cfg.nx}x{cfg.ny}"
+    exp = cfg.experiment
+    line = isinstance(exp, D1Q3Experiment)
     return [
         ("config_hash", config_hash(cfg)),
-        ("variant", variant),
-        ("grid", grid),
-        ("predictor", predicted_product(cfg)),
+        ("variant", exp.tag),
+        ("grid", str(exp.n) if line else f"{exp.nx}x{exp.ny}"),
+        ("predictor", predicted_product(exp)),
     ]
 
 
 def _cmd_profile(cfg):
-    model = _MODELS[cfg.model]
     exp = build_experiment(cfg)
+    model = _MODELS[type(exp)]
     f, steps = run_to_steady(exp)
-    if cfg.model == "d1q3":
+    if isinstance(exp, D1Q3Experiment):
         x, values = density_profile(exp, f)
         window = ""
     else:
@@ -145,10 +152,11 @@ def _cmd_profile(cfg):
     upper = wall_location(fit, float(x[-1]), 1.0, "upper")
     meta = (
         _base_metadata(cfg)
-        + _echo(cfg, model.sigmas)
+        + _echo(exp, model.sigmas)
         + [("product", exp.product)]
-        + _echo(cfg, model.params + model.amplitudes)
+        + _echo(exp, model.params)
         + [
+            _amplitude(exp),
             ("steps", steps),
             ("fit_window", f"{window}nodes 0..{len(x) - 1}"),
             ("fit_residual", fit.residual),
@@ -163,7 +171,7 @@ def _cmd_profile(cfg):
 
 def _sample_table(cfg, found, meta):
     """The table of a sweep or root search: one row per sample."""
-    model = _MODELS[cfg.model]
+    model = _MODELS[type(cfg.experiment)]
     names = (*model.sigmas, "product", "delta_q_over_dx")
     rows = tuple(tuple(float(v) for v in row) for row in found.samples)
     table = results.ResultTable(
@@ -209,21 +217,21 @@ def _cmd_magic_root(cfg):
 
 
 def _cmd_transport(cfg):
-    model = _MODELS[cfg.model]
     wave = dict(mode=cfg.mode, steps=cfg.steps, skip=cfg.skip)
     exp = build_experiment(cfg)
-    if cfg.model == "d1q3":
+    model = _MODELS[type(exp)]
+    if isinstance(exp, D1Q3Experiment):
         measured = measure_diffusivity(replace(exp, n=cfg.measure_n), **wave)
         formula = exp.diffusivity
         name, grid = "kappa", str(cfg.measure_n)
     else:
         measured = measure_viscosity(replace(exp, nx=cfg.measure_nx), **wave)
-        formula = cfg.sigma8 / 3.0
+        formula = exp.sigma8 / 3.0
         name, grid = "nu", f"{cfg.measure_nx}x{cfg.measure_ny}"
     rel_error = abs(measured - formula) / abs(formula)
     meta = (
         _base_metadata(cfg)
-        + _echo(cfg, model.sigmas + model.params)
+        + _echo(exp, model.sigmas + model.params)
         + [("measure_grid", grid)]
         + list(wave.items())
     )

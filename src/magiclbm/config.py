@@ -5,13 +5,16 @@ A run is described by a flat INI document with a handful of sections
 [root], [measure], [output]).  Parsing is strict and total:
 unknown sections or keys are rejected, and every violation in the
 document is collected and reported in a single pass, annotated with the
-source file and line where the offending key appears.
+source file and line where the offending key appears (the pressure
+predictor's singularity is checked once the experiment builds).
 
 Every key is one row of ``_TABLE``; parsing, the rejection of unknown
 keys and of keys not meaningful for the chosen scheme, the canonical
-rendering and hence the hash all walk that table.  The scheme's rules are
-the experiment's and the criterion's own: parse_config builds both and
-files each violation under its key.
+rendering and hence the hash all walk that table.  The scheme and
+criterion keys describe a ``D1Q3Experiment`` or ``D2Q9Experiment`` and
+its ``SteadyStateCriterion``: parse_config builds them once, so their
+defaults and rules are the dataclasses' own, and it files each
+violation under its key.  The RunConfig carries that experiment.
 
 The parsed RunConfig is fully resolved: every default is filled in at
 parse time, so two documents that describe the same run produce equal
@@ -28,7 +31,6 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field, fields
-from types import SimpleNamespace
 
 from .collision import s_to_sigma
 from .errors import ConfigurationError
@@ -37,7 +39,6 @@ from .experiments import (
     D2Q9Experiment,
     DRIVING_TAGS,
     SteadyStateCriterion,
-    _default_zeta,
     predicted_product,
 )
 from .results import format_value
@@ -48,8 +49,6 @@ __all__ = [
     "render_config",
     "config_hash",
     "build_experiment",
-    "build_criterion",
-    "predicted_product",
 ]
 
 _DEFAULT_SWEEP_FACTORS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
@@ -63,36 +62,20 @@ _FALSE_WORDS = ("0", "false", "no", "off")
 class RunConfig:
     """Fully resolved description of one run.
 
-    Model-specific fields are None when they do not apply (for example
-    nx is None for the line model).  ``products`` and ``bracket_lo`` /
-    ``bracket_hi`` stay None when they were not given and no positive
-    predicted magic product exists to derive defaults from; the sweep
-    and root-finding commands then require them explicitly.
+    ``experiment`` is the D1Q3Experiment or D2Q9Experiment the scheme
+    keys describe, with the criterion keys' SteadyStateCriterion; the
+    other fields are the command parameters.  A command parameter is
+    None when it does not apply (for example measure_nx for the line).
+    ``products`` and ``bracket_lo`` / ``bracket_hi`` stay None when they
+    were not given and no positive predicted magic product exists to
+    derive defaults from; the sweep and root-finding commands then
+    require them explicitly.
 
     ``out_dir`` is plumbing, not physics: it is excluded from equality,
     from the canonical rendering, and hence from the config hash.
     """
 
-    model: str
-    variant: str
-    driving: str
-    zeta: float
-    alpha: float
-    beta: float
-    n: int
-    nx: int
-    ny: int
-    sigma1: float
-    sigma2: float
-    sigma5: float
-    sigma8: float
-    s_bulk: float
-    source: float
-    force_x: float
-    delta_p: float
-    tolerance: float
-    check_every: int
-    max_steps: int
+    experiment: object
     products: tuple
     split_check: bool
     bracket_lo: float
@@ -145,76 +128,52 @@ _DESCRIBE = {
 }
 
 
-def _predicted(values):
-    """Predicted magic product of the scheme parsed so far, when positive."""
-    if values["model"] is None:
-        return None
-    try:
-        product = predicted_product(SimpleNamespace(**values))
-    except ConfigurationError:
-        return None
-    return product if product > 0.0 else None
-
-
-def _default_products(values):
-    product = _predicted(values)
-    if product is None:
-        return None
-    return tuple(f * product for f in _DEFAULT_SWEEP_FACTORS)
-
-
-def _default_bracket(values, end):
-    product = _predicted(values)
-    return None if product is None else _DEFAULT_BRACKET_FACTORS[end] * product
-
-
 _LINE = ("d1q3",)
 _PLANE = ("d2q9",)
 _FORCE = ("force-split-half", "force-population")
 _PRESSURE = ("pressure",)
 _POSITIVE = "positive"
 
-# One row per key, in canonical rendering order: (section, key, RunConfig
-# field, the models or drivings the key is meaningful for (None: every
-# scheme), converter or allowed words, default, lower bound).  A default
-# is a value or a function of the values parsed so far.  Only command
-# parameters, which no library object holds at parse time, carry a bound:
-# an integer bound is inclusive; _POSITIVE asks every number to exceed 0.
-# The rate spellings s1..s8 share their sigma's field; only the first
-# row of a field is rendered, and [output] is not rendered at all.
+# One row per key, in canonical rendering order: (section, key, field, the
+# models or drivings the key is meaningful for (None: every scheme),
+# converter or allowed words, default, lower bound).  A scheme or criterion
+# row names a field of the experiment or of its criterion and has no
+# default here: an unset field takes the dataclass's own.  The other rows
+# name a RunConfig field; the sweep products and the root bracket default
+# to multiples of the predicted magic product.  Only command parameters,
+# which no library object holds at parse time, carry a bound: an integer
+# bound is inclusive; _POSITIVE asks every number to exceed 0.  The rate
+# spellings s1..s8 share their sigma's field; only the first row of a
+# field is rendered, and [output] is not rendered at all.
 _TABLE = (
     ("scheme", "model", "model", None, ("d1q3", "d2q9"), None, None),
-    ("scheme", "variant", "variant", _LINE, ("a", "b"), "a", None),
-    ("scheme", "driving", "driving", _PLANE, DRIVING_TAGS, "force-split-half", None),
-    ("scheme", "zeta", "zeta", _LINE, _finite,
-     lambda v: _default_zeta(v["variant"]), None),
-    ("scheme", "alpha", "alpha", _PLANE, _finite, -2.0, None),
-    ("scheme", "beta", "beta", _PLANE, _finite, 1.0, None),
-    ("grid", "n", "n", _LINE, int, 32, None),
-    ("grid", "nx", "nx", _PLANE, int, 100, None),
-    ("grid", "ny", "ny", _PLANE, int, 21, None),
-    ("relaxation", "sigma1", "sigma1", _LINE, _finite, 1.0, None),
+    ("scheme", "variant", "variant", _LINE, ("a", "b"), None, None),
+    ("scheme", "driving", "driving", _PLANE, DRIVING_TAGS, None, None),
+    ("scheme", "zeta", "zeta", _LINE, _finite, None, None),
+    ("scheme", "alpha", "alpha", _PLANE, _finite, None, None),
+    ("scheme", "beta", "beta", _PLANE, _finite, None, None),
+    ("grid", "n", "n", _LINE, int, None, None),
+    ("grid", "nx", "nx", _PLANE, int, None, None),
+    ("grid", "ny", "ny", _PLANE, int, None, None),
+    ("relaxation", "sigma1", "sigma1", _LINE, _finite, None, None),
     ("relaxation", "s1", "sigma1", _LINE, _rate_as_sigma, None, None),
-    ("relaxation", "sigma2", "sigma2", _LINE, _finite, 0.125, None),
+    ("relaxation", "sigma2", "sigma2", _LINE, _finite, None, None),
     ("relaxation", "s2", "sigma2", _LINE, _rate_as_sigma, None, None),
-    ("relaxation", "sigma5", "sigma5", _PLANE, _finite, 0.375, None),
+    ("relaxation", "sigma5", "sigma5", _PLANE, _finite, None, None),
     ("relaxation", "s5", "sigma5", _PLANE, _rate_as_sigma, None, None),
-    ("relaxation", "sigma8", "sigma8", _PLANE, _finite, 1.0, None),
+    ("relaxation", "sigma8", "sigma8", _PLANE, _finite, None, None),
     ("relaxation", "s8", "sigma8", _PLANE, _rate_as_sigma, None, None),
-    ("relaxation", "s_bulk", "s_bulk", _PLANE, _finite, 1.2, None),
-    ("driving", "source", "source", _LINE, _finite, 1e-6, None),
-    ("driving", "force_x", "force_x", _FORCE, _finite, 1e-6, None),
-    ("driving", "delta_p", "delta_p", _PRESSURE, _finite, 1e-6, None),
-    ("criterion", "tolerance", "tolerance", None, _finite, 1e-15, None),
-    ("criterion", "check_every", "check_every", None, int, 100, None),
-    ("criterion", "max_steps", "max_steps", None, int, 500_000, None),
-    ("sweep", "products", "products", None, _parse_products, _default_products,
-     _POSITIVE),
+    ("relaxation", "s_bulk", "s_bulk", _PLANE, _finite, None, None),
+    ("driving", "source", "source", _LINE, _finite, None, None),
+    ("driving", "force_x", "fx", _FORCE, _finite, None, None),
+    ("driving", "delta_p", "delta_p", _PRESSURE, _finite, None, None),
+    ("criterion", "tolerance", "tolerance", None, _finite, None, None),
+    ("criterion", "check_every", "check_every", None, int, None, None),
+    ("criterion", "max_steps", "max_steps", None, int, None, None),
+    ("sweep", "products", "products", None, _parse_products, None, _POSITIVE),
     ("sweep", "split_check", "split_check", None, _parse_bool, True, None),
-    ("root", "bracket_lo", "bracket_lo", None, _finite,
-     lambda v: _default_bracket(v, 0), None),
-    ("root", "bracket_hi", "bracket_hi", None, _finite,
-     lambda v: _default_bracket(v, 1), None),
+    ("root", "bracket_lo", "bracket_lo", None, _finite, None, None),
+    ("root", "bracket_hi", "bracket_hi", None, _finite, None, None),
     ("root", "product_tol", "product_tol", None, _finite, 1e-5, _POSITIVE),
     ("root", "max_evals", "max_evals", None, int, 40, 2),
     ("measure", "n", "measure_n", _LINE, int, 64, 5),
@@ -230,6 +189,12 @@ _KEYS = {(row[0], row[1]) for row in _TABLE}
 # The first row of each field, where the field's violations are filed.
 _HOME = {row[2]: row[:2] for row in reversed(_TABLE)}
 _SECTIONS = {row[0] for row in _TABLE}
+_EXPERIMENTS = {"d1q3": D1Q3Experiment, "d2q9": D2Q9Experiment}
+
+
+def _meaningful(scope, model, driving):
+    """Whether a row of ``scope`` is meaningful for the scheme (model, driving)."""
+    return scope is None or model in scope or driving in scope
 
 
 def _key_lines(text):
@@ -243,7 +208,7 @@ def _key_lines(text):
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
             continue
-        match = re.match(r"([^=:]+?)\s*[=:]", stripped)
+        match = re.match(r"([^=]+?)\s*=", stripped)  # the parser's one delimiter
         if match and section is not None:
             key = match.group(1).strip().lower()
             lines.setdefault((section, key), lineno)
@@ -362,8 +327,10 @@ def parse_config(text, overrides=(), source="<config>", implied=(None, None)):
     values, given = {}, {}
     for section, key, name, scope, convert, default, bound in _TABLE:
         text_value = raw.get(section, {}).get(key)
-        model, driving = values.get("model"), values.get("driving")
-        if scope is not None and model not in scope and driving not in scope:
+        model = values.get("model")
+        # An unset driving is the channel's own default.
+        driving = values.get("driving", getattr(_EXPERIMENTS.get(model), "driving", None))
+        if not _meaningful(scope, model, driving):
             if text_value is not None and model is not None:
                 note(section, key, "not meaningful for this scheme selection")
             continue
@@ -383,12 +350,12 @@ def parse_config(text, overrides=(), source="<config>", implied=(None, None)):
                 if bound is not None and _below(values[name], bound):
                     relation = "positive" if bound == _POSITIVE else f">= {bound}"
                     note(section, key, f"{key} must be {relation}, got {values[name]}")
-        if name not in values:
-            values[name] = default(values) if callable(default) else default
+        if name not in values and default is not None:
+            values[name] = default
 
     if "model" not in scheme:
         problems.append(f"{source}: scheme.model is required")
-    lo, hi = values["bracket_lo"], values["bracket_hi"]
+    lo, hi = values.get("bracket_lo"), values.get("bracket_hi")
     if ("bracket_lo" in given) != ("bracket_hi" in given):
         key = "bracket_lo" if "bracket_lo" in given else "bracket_hi"
         note("root", key, "bracket_lo and bracket_hi must be given together")
@@ -404,28 +371,40 @@ def parse_config(text, overrides=(), source="<config>", implied=(None, None)):
             "skip",
             f"skip must be < steps ({values['steps']}), got {values['skip']}",
         )
-    # The criterion and the experiment state their own rules, each
-    # message opening with its field; both are built, so both report.
-    cfg = RunConfig(**{f.name: values.get(f.name) for f in fields(RunConfig)})
-    builders = [build_criterion]
-    if values["model"] is not None:
-        builders.append(lambda c: build_experiment(c, SteadyStateCriterion()))
-    for build in builders:
+
+    def build(cls, **extra):
+        """A ``cls`` of the parsed values of its fields, else None."""
+        names = {f.name for f in fields(cls)}
         try:
-            build(cfg)
+            return cls(**{k: v for k, v in values.items() if k in names}, **extra)
         except ConfigurationError as exc:
             for message in exc.violations:
                 name = re.match(r"\w+", message).group()
                 note(_HOME[name][0], given.get(name, _HOME[name][1]), message)
-    if values.get("driving") == "pressure":
+        return None
+
+    # The criterion and the experiment state their own rules, each
+    # message opening with its field; both are built, so both report.
+    criterion = build(SteadyStateCriterion)
+    exp = None
+    if values.get("model") is not None:
+        cls = _EXPERIMENTS[values["model"]]
+        exp = build(cls, criterion=criterion or SteadyStateCriterion())
+    if exp is not None:
         try:
-            predicted_product(cfg)
-        except ConfigurationError as exc:
+            product = predicted_product(exp)
+        except ConfigurationError as exc:  # a singular pressure predictor
             note("scheme", "beta", str(exc))
+            product = 0.0
+        if product > 0.0:
+            values.setdefault("products", tuple(f * product for f in _DEFAULT_SWEEP_FACTORS))
+            for name, f in zip(("bracket_lo", "bracket_hi"), _DEFAULT_BRACKET_FACTORS):
+                values.setdefault(name, f * product)
 
     if problems:
         raise ConfigurationError("invalid configuration", problems)
-    return cfg
+    values["experiment"] = exp
+    return RunConfig(**{f.name: values.get(f.name) for f in fields(RunConfig)})
 
 
 def render_config(cfg):
@@ -435,13 +414,19 @@ def render_config(cfg):
     formatting; parse_config of the result reproduces ``cfg`` exactly.
     The output directory is plumbing and is not rendered.
     """
+    exp = cfg.experiment
+    holders = (cfg, exp, exp.criterion)
+    values = {f.name: getattr(obj, f.name) for obj in holders for f in fields(obj)}
+    model = next(m for m, cls in _EXPERIMENTS.items() if isinstance(exp, cls))
+    values["model"] = model
     blocks, rendered = {}, set()
-    for section, key, name, *_ in _TABLE:
+    for section, key, name, scope, *_ in _TABLE:
         block = blocks.setdefault(section, [f"[{section}]"])
-        value = getattr(cfg, name)
-        if name not in rendered and value is not None:
-            block.append(f"{key} = {format_value(value)}")
+        if name in rendered or not _meaningful(scope, model, values.get("driving")):
+            continue
         rendered.add(name)
+        if values[name] is not None:
+            block.append(f"{key} = {format_value(values[name])}")
     del blocks["output"]
     return "\n\n".join("\n".join(block) for block in blocks.values()) + "\n"
 
@@ -452,38 +437,6 @@ def config_hash(cfg):
     return digest[:12]
 
 
-def build_criterion(cfg):
-    return SteadyStateCriterion(
-        tolerance=cfg.tolerance,
-        check_every=cfg.check_every,
-        max_steps=cfg.max_steps,
-    )
-
-
-def build_experiment(cfg, criterion=None):
-    """The experiment a RunConfig describes, with its criterion unless given."""
-    criterion = criterion or build_criterion(cfg)
-    if cfg.model == "d1q3":
-        return D1Q3Experiment(
-            variant=cfg.variant,
-            n=cfg.n,
-            sigma1=cfg.sigma1,
-            sigma2=cfg.sigma2,
-            zeta=cfg.zeta,
-            source=cfg.source,
-            criterion=criterion,
-        )
-    # A channel reads only the amplitude of its own driving.
-    return D2Q9Experiment(
-        driving=cfg.driving,
-        nx=cfg.nx,
-        ny=cfg.ny,
-        sigma5=cfg.sigma5,
-        sigma8=cfg.sigma8,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        s_bulk=cfg.s_bulk,
-        fx=cfg.force_x or 0.0,
-        delta_p=cfg.delta_p or 0.0,
-        criterion=criterion,
-    )
+def build_experiment(cfg):
+    """The experiment a RunConfig describes, its criterion included."""
+    return cfg.experiment

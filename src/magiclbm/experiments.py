@@ -487,17 +487,15 @@ def predict_magic(variant, alpha=None, beta=None):
     raise ConfigurationError(f"unknown scheme variant {variant!r} for predict_magic")
 
 
-def predicted_product(scheme):
-    """Closed-form magic product of an experiment or a run configuration.
+def predicted_product(exp):
+    """Closed-form magic product of an experiment's scheme.
 
-    A scheme whose ``driving`` is set is a channel (pressure driving also
-    reads ``alpha`` and ``beta``); any other is a line of basis
-    ``variant``.
+    A line's depends on its basis variant; a channel's on its driving,
+    and under pressure driving also on ``alpha`` and ``beta``.
     """
-    driving = getattr(scheme, "driving", None)
-    if driving is None:
-        return predict_magic(f"d1q3-{scheme.variant}")
-    return predict_magic(driving, scheme.alpha, scheme.beta)
+    if isinstance(exp, D1Q3Experiment):
+        return predict_magic(exp.tag)
+    return predict_magic(exp.driving, exp.alpha, exp.beta)
 
 
 def sweep_product(exp, products, split_check=True):
@@ -653,9 +651,12 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
 def _decay_rate(amplitudes, skip, floor=1e-12, min_samples=10):
     """Slope of log-amplitude decay from per-step samples.
 
-    Raises ConvergenceError when the fitted slope is not negative: a wave
-    that grows has no decay rate to report.
+    The first ``skip`` samples are left out; a negative ``skip`` raises
+    ConfigurationError.  Raises ConvergenceError when the fitted slope is
+    not negative: a wave that grows has no decay rate to report.
     """
+    if skip < 0:
+        raise ConfigurationError(f"skip must be >= 0, got {skip}")
     amps = np.asarray(amplitudes, dtype=np.float64)
     t = np.arange(amps.size, dtype=np.float64)
     usable = np.abs(amps) >= floor
@@ -730,7 +731,8 @@ def measure_diffusivity(exp, mode=1, steps=2000, skip=200):
     initialized at equilibrium and marched with no source; its projection
     amplitude decays like exp(-kappa k^2 t).  The returned kappa comes
     from a log-linear fit, skipping the first ``skip`` steps of kinetic
-    transient.  A wave that grows or diverges raises ConvergenceError.
+    transient (a negative ``skip`` raises ConfigurationError).  A wave
+    that grows or diverges raises ConvergenceError.
     The wave runs on a periodic line with no source, so only the scheme
     and ``n`` of ``exp`` are read: its source and criterion are not used.
     """
@@ -754,7 +756,8 @@ def measure_viscosity(exp, mode=1, steps=2000, skip=200):
 
     Transverse momentum jy = sin(k x), k = 2 pi mode / ``exp.nx``, on a
     fully periodic plane decays like exp(-nu k^2 t); nu comes from a
-    log-linear fit of the projection amplitude.  The wave is uniform in
+    log-linear fit of the projection amplitude, skipping the first
+    ``skip`` steps as in ``measure_diffusivity``.  The wave is uniform in
     y, so one row of the plane is marched.  A wave that grows or diverges
     raises ConvergenceError.  The plane is periodic and undriven, so only
     the scheme and ``nx`` of ``exp`` are read: its driving, ``fx``,

@@ -9,6 +9,7 @@ point stays wired up and that a root search never imports scipy.
 import argparse
 import importlib
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
@@ -415,6 +416,22 @@ def test_traced_functions_are_called_by_the_names_the_tracer_wraps(
         assert main([command, *args, "--out", str(tmp_path)]) == 0, command
     assert [key for key, count in hits.items() if count == 0] == []
 
+
+
+def test_setup_probe_runs_on_the_default_schemes(tmp_path):
+    # The benchmark's set-up sample imports parse_config and
+    # build_experiment from the config module in a fresh interpreter.
+    probe = pathlib.Path(__file__).parents[1] / "perfbench" / "setup_probe.py"
+    line, pressure = tmp_path / "line.ini", tmp_path / "pressure.ini"
+    line.write_text("[scheme]\nmodel = d1q3\n")
+    pressure.write_text("[scheme]\nmodel = d2q9\ndriving = pressure\n")
+    proc = subprocess.run(
+        [sys.executable, "-B", str(probe), f"1:{line}", f"0:{pressure}"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (sample,) = proc.stdout.splitlines()
+    assert set(json.loads(sample)) == {"import_s", "config_s"}
 
 
 def test_parser_lists_all_commands():

@@ -1,17 +1,14 @@
 """Tests of configuration parsing, validation, rendering, and hashing."""
 
 import inspect
-from dataclasses import fields
 
 import pytest
 
 from magiclbm.config import (
     RunConfig,
-    build_criterion,
     build_experiment,
     config_hash,
     parse_config,
-    predicted_product,
     render_config,
 )
 from magiclbm.errors import ConfigurationError
@@ -23,6 +20,7 @@ from magiclbm.experiments import (
     find_magic_root,
     measure_diffusivity,
     measure_viscosity,
+    predicted_product,
 )
 
 MINIMAL_LINE = "[scheme]\nmodel = d1q3\n"
@@ -43,30 +41,32 @@ def violations_of(text, overrides=()):
 def test_minimal_line_config_defaults():
     cfg = parse_config(MINIMAL_LINE)
     assert isinstance(cfg, RunConfig)
-    assert cfg.model == "d1q3"
-    assert cfg.variant == "a"
-    assert cfg.n == 32
-    assert cfg.sigma1 == 1.0
-    assert cfg.sigma2 == 0.125
-    assert cfg.zeta == pytest.approx(1.0 / 3.0)
-    assert cfg.source == 1e-6
-    assert cfg.tolerance == 1e-15
-    assert cfg.check_every == 100
+    exp = cfg.experiment
+    assert isinstance(exp, D1Q3Experiment)
+    assert exp.variant == "a"
+    assert exp.n == 32
+    assert exp.sigma1 == 1.0
+    assert exp.sigma2 == 0.125
+    assert exp.zeta == pytest.approx(1.0 / 3.0)
+    assert exp.source == 1e-6
+    assert exp.criterion.tolerance == 1e-15
+    assert exp.criterion.check_every == 100
 
 
 def test_minimal_plane_config_defaults():
-    cfg = parse_config(MINIMAL_PLANE)
-    assert cfg.driving == "force-split-half"
-    assert (cfg.nx, cfg.ny) == (100, 21)
-    assert (cfg.sigma5, cfg.sigma8) == (0.375, 1.0)
-    assert (cfg.alpha, cfg.beta) == (-2.0, 1.0)
-    assert cfg.s_bulk == 1.2
-    assert cfg.force_x == 1e-6
+    exp = parse_config(MINIMAL_PLANE).experiment
+    assert isinstance(exp, D2Q9Experiment)
+    assert exp.driving == "force-split-half"
+    assert (exp.nx, exp.ny) == (100, 21)
+    assert (exp.sigma5, exp.sigma8) == (0.375, 1.0)
+    assert (exp.alpha, exp.beta) == (-2.0, 1.0)
+    assert exp.s_bulk == 1.2
+    assert exp.fx == 1e-6
 
 
 def test_default_sweep_spans_the_predictor():
     cfg = parse_config(MINIMAL_LINE)
-    assert predicted_product(cfg) == pytest.approx(0.125)
+    assert predicted_product(cfg.experiment) == pytest.approx(0.125)
     # Seven default factors of the predicted product, sorted ascending.
     expected = tuple(sorted(0.125 * f for f in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)))
     assert cfg.products == pytest.approx(expected)
@@ -74,23 +74,19 @@ def test_default_sweep_spans_the_predictor():
 
 
 @pytest.mark.parametrize(
-    "text",
-    [MINIMAL_LINE] + [MINIMAL_PLANE + f"driving = {tag}\n" for tag in DRIVING_TAGS],
+    "text, library",
+    [(MINIMAL_LINE, D1Q3Experiment())] + [
+        (MINIMAL_PLANE + f"driving = {tag}\n", D2Q9Experiment(driving=tag))
+        for tag in DRIVING_TAGS
+    ],
     ids=["line", *DRIVING_TAGS],
 )
-def test_defaults_are_the_library_defaults(text):
-    # The config table states each default a second time; the two must not
-    # drift apart.  A key the scheme does not read resolves to None.
+def test_defaults_are_the_library_defaults(text, library):
+    # Every scheme and criterion default is the dataclasses' own, and the
+    # command parameters default to the library signatures'.
     cfg = parse_config(text)
-    if cfg.model == "d1q3":
-        library = D1Q3Experiment()
-    else:
-        library = D2Q9Experiment(driving=cfg.driving)
-    for field in fields(library):
-        value = getattr(cfg, {"fx": "force_x"}.get(field.name, field.name), None)
-        if value is not None:
-            assert value == getattr(library, field.name), field.name
-    assert build_criterion(cfg) == SteadyStateCriterion()
+    assert cfg.experiment == library
+    assert cfg.experiment.criterion == SteadyStateCriterion()
     root = inspect.signature(find_magic_root).parameters
     assert cfg.product_tol == root["product_tol"].default
     assert cfg.max_evals == root["max_evals"].default
@@ -111,7 +107,7 @@ def test_explicit_products_are_sorted():
 def test_rate_form_is_accepted_for_relaxation():
     # s1 = 2/3 is sigma1 = 1/s - 1/2 = 1.
     cfg = parse_config(MINIMAL_LINE + "\n[relaxation]\ns1 = 0.6666666666666666\n")
-    assert cfg.sigma1 == pytest.approx(1.0, rel=1e-12)
+    assert cfg.experiment.sigma1 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_boolean_words_parse():
@@ -135,6 +131,49 @@ DEFAULT_SCHEME_HASHES = (
 )
 
 
+# Criterion and command keys shared by the non-default documents below.
+_CRITERION_AND_COMMANDS = (
+    "\n[criterion]\ntolerance = 1e-12\ncheck_every = 50\nmax_steps = 20000\n"
+    "\n[sweep]\nproducts = 0.1, 0.2, 0.3\nsplit_check = no\n"
+    "\n[root]\nbracket_lo = 0.05\nbracket_hi = 0.8\nproduct_tol = 1e-6\nmax_evals = 30\n"
+)
+
+
+def _channel_document(driving, amplitude):
+    return (
+        f"[scheme]\nmodel = d2q9\ndriving = {driving}\nalpha = -2.5\nbeta = 2.5\n"
+        "\n[grid]\nnx = 40\nny = 11\n"
+        "\n[relaxation]\ns5 = 1.25\nsigma8 = 0.75\ns_bulk = 1.1\n"
+        f"\n[driving]\n{amplitude}\n" + _CRITERION_AND_COMMANDS
+        + "\n[measure]\nnx = 32\nny = 3\nmode = 2\nsteps = 800\nskip = 80\n"
+    )
+
+
+# One non-default document per line variant and per channel driving: each
+# sets every key meaningful for its scheme, the rates in their s spelling.
+# The hashes were computed while RunConfig still held each scheme value as
+# a field of its own, so they pin the rendering across that change.
+SCHEME_HASHES = (
+    (
+        "[scheme]\nmodel = d1q3\nvariant = a\nzeta = 0.5\n\n[grid]\nn = 24\n"
+        "\n[relaxation]\ns1 = 0.8\nsigma2 = 0.2\n\n[driving]\nsource = 2e-6\n"
+        + _CRITERION_AND_COMMANDS
+        + "\n[measure]\nn = 48\nmode = 2\nsteps = 900\nskip = 90\n",
+        "30d0721ac659",
+    ),
+    (
+        "[scheme]\nmodel = d1q3\nvariant = b\nzeta = 0.75\n\n[grid]\nn = 20\n"
+        "\n[relaxation]\ns1 = 1.25\nsigma2 = 0.3\n\n[driving]\nsource = 3e-6\n"
+        + _CRITERION_AND_COMMANDS
+        + "\n[measure]\nn = 40\nmode = 1\nsteps = 1200\nskip = 100\n",
+        "251368115b51",
+    ),
+    (_channel_document("force-split-half", "force_x = 2e-6"), "22711ad152ec"),
+    (_channel_document("force-population", "force_x = 3e-6"), "8806280ca211"),
+    (_channel_document("pressure", "delta_p = 4e-6"), "0c6f3c95ea5f"),
+)
+
+
 def test_render_parse_round_trip():
     cfg = parse_config(
         "[scheme]\nmodel = d2q9\ndriving = pressure\n"
@@ -144,7 +183,7 @@ def test_render_parse_round_trip():
     again = parse_config(render_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
-    for text, digest in DEFAULT_SCHEME_HASHES:
+    for text, digest in DEFAULT_SCHEME_HASHES + SCHEME_HASHES:
         cfg = parse_config(text)
         again = parse_config(render_config(cfg))
         assert again == cfg
@@ -170,7 +209,7 @@ def test_output_directory_does_not_change_identity():
 
 def test_overrides_apply_and_later_wins():
     cfg = parse_config(MINIMAL_LINE, overrides=("grid.n=16", "grid.n=12"))
-    assert cfg.n == 12
+    assert cfg.experiment.n == 12
 
 
 def test_override_requires_section_key_value():
@@ -192,6 +231,12 @@ def test_unknown_key_is_rejected_with_location():
     (violation,) = violations_of("[scheme]\nmodel = d1q3\nfoo = 1\n")
     assert violation.startswith("<config>:3:")
     assert "scheme.foo: unknown key" in violation
+
+
+def test_key_with_a_colon_keeps_its_line():
+    # "=" is the only delimiter, so "foo:bar" is one (unknown) key.
+    (violation,) = violations_of("[scheme]\nmodel = d1q3\nfoo:bar = 1\n")
+    assert violation == "<config>:3: scheme.foo:bar: unknown key"
 
 
 def test_unknown_section_is_rejected():
@@ -272,9 +317,9 @@ def test_singular_pressure_predictor_is_a_parse_error():
 
 def test_implied_scheme_fills_missing_keys_and_files_conflicts():
     implied = ("d2q9", "pressure")
-    cfg = parse_config("", source="<defaults>", implied=implied)
-    assert (cfg.model, cfg.driving) == implied
-    assert parse_config(MINIMAL_PLANE, implied=implied).driving == "pressure"
+    exp = parse_config("", source="<defaults>", implied=implied).experiment
+    assert (type(exp), exp.driving) == (D2Q9Experiment, "pressure")
+    assert parse_config(MINIMAL_PLANE, implied=implied).experiment.driving == "pressure"
     with pytest.raises(ConfigurationError) as excinfo:
         parse_config(MINIMAL_PLANE + "driving = force-population\n", implied=implied)
     (violation,) = excinfo.value.violations
@@ -385,7 +430,7 @@ def test_build_criterion_carries_tolerances():
         MINIMAL_LINE
         + "\n[criterion]\ntolerance = 1e-12\ncheck_every = 50\nmax_steps = 1000\n"
     )
-    criterion = build_criterion(cfg)
+    criterion = build_experiment(cfg).criterion
     assert criterion.tolerance == 1e-12
     assert criterion.check_every == 50
     assert criterion.max_steps == 1000
@@ -400,4 +445,4 @@ def test_pressure_predictor_depends_on_equilibrium():
             "scheme.beta=2.5",
         ),
     )
-    assert predicted_product(cfg) == pytest.approx(0.375)
+    assert predicted_product(cfg.experiment) == pytest.approx(0.375)

@@ -1001,6 +1001,17 @@ def test_unstable_scheme_wave_raises_convergence_error(measure, exp, wave, reaso
         measure(exp, **wave)
 
 
+@pytest.mark.parametrize(
+    "measure, exp",
+    [(measure_diffusivity, D1Q3Experiment(n=64)), (measure_viscosity, D2Q9Experiment(nx=64))],
+    ids=["diffusivity", "viscosity"],
+)
+def test_negative_skip_is_refused(measure, exp):
+    # A negative skip used to cut the fit window from its end.
+    with pytest.raises(ConfigurationError, match="skip must be >= 0, got -1000"):
+        measure(exp, skip=-1000)
+
+
 def test_exhausted_mode_raises_measurement_error():
     exp = D1Q3Experiment(variant="a", n=16, sigma1=0.8, sigma2=0.125)
     with pytest.raises(MeasurementError, match="mode exhausted"):
