@@ -1,9 +1,10 @@
 """Command line front end.
 
-One subcommand per experiment.  Every experiment reads a single INI
-configuration (see config.py), optionally patched by repeatable
---override section.key=value flags, and writes <command>.csv into the
-output directory; the sweep and root-finding commands also write a
+One command per experiment; ``magiclbm --help`` lists them, and the
+options may come before or after the command.  Every experiment reads a
+single INI configuration (see config.py), optionally patched by
+repeatable --override section.key=value flags, and writes <command>.csv
+into the output directory; the sweep and root-finding commands also write a
 companion <command>.plot script that redraws the sweep figure.
 
 Exit codes: 0 success, 2 invalid configuration or usage (an output that
@@ -51,29 +52,31 @@ from .fitting import fit_parabola, wall_location
 __all__ = ["main"]
 
 def build_parser():
+    commands = "\n".join(f"  {name:<22}{row[3]}" for name, row in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="magiclbm",
         description="Lattice Boltzmann experiments locating magic relaxation products.",
+        epilog=f"commands:\n{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, model, driving, help_text, handler in _COMMANDS:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(implied=(model, driving), handler=handler)
-        cmd.add_argument("--config", metavar="PATH", help="INI configuration file")
-        cmd.add_argument(
-            "--out", metavar="DIR", help="output directory (default from config, else .)"
-        )
-        cmd.add_argument(
-            "--override",
-            metavar="SECTION.KEY=VALUE",
-            action="append",
-            default=[],
-            help="patch one configuration value; repeatable, later flags win",
-        )
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="a command listed below"
+    )
+    parser.add_argument("--config", metavar="PATH", help="INI configuration file")
+    parser.add_argument(
+        "--out", metavar="DIR", help="output directory (default from config, else .)"
+    )
+    parser.add_argument(
+        "--override",
+        metavar="SECTION.KEY=VALUE",
+        action="append",
+        default=[],
+        help="patch one configuration value; repeatable, later flags win",
+    )
     return parser
 
 
-def _load_config(args):
+def _load_config(args, implied):
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -83,16 +86,14 @@ def _load_config(args):
                 f"cannot read configuration {args.config!r}: {exc}"
             ) from None
         source = args.config
-    elif args.implied[0] is None:
+    elif implied[0] is None:
         raise ConfigurationError(
             f"{args.command} needs --config: the scheme is not implied "
             "by the command name"
         )
     else:
         text, source = "", "<defaults>"
-    return parse_config(
-        text, overrides=args.override, source=source, implied=args.implied
-    )
+    return parse_config(text, overrides=args.override, source=source, implied=implied)
 
 
 class _Model(NamedTuple):
@@ -244,35 +245,27 @@ def _cmd_transport(cfg):
     return results.ResultTable(columns, rows, tuple(meta)), None
 
 
-# One row per subcommand, in help order: (name, implied model, implied
-# driving, help, handler); None means that part of the scheme is not
+# One row per command, in help order: name -> (implied model, implied
+# driving, handler, help); None means that part of the scheme is not
 # implied by the command.
-_COMMANDS = (
-    ("poisson-1d", "d1q3", None,
-     "march the source-driven line scheme and locate both walls",
-     _cmd_profile),
-    ("poiseuille-force", "d2q9", "force-split-half",
-     "split-half forced channel flow, wall offsets from the profile",
-     _cmd_profile),
-    ("poiseuille-force-pop", "d2q9", "force-population",
-     "population-forced channel flow, wall offsets from the profile",
-     _cmd_profile),
-    ("poiseuille-pressure", "d2q9", "pressure",
-     "pressure-driven channel flow, wall offsets from the profile",
-     _cmd_profile),
-    ("sweep", None, None,
-     "measure the wall offset over a list of sigma products",
-     _cmd_sweep),
-    ("magic-root", None, None,
-     "find the sigma product where the offset is half a spacing (Brent)",
-     _cmd_magic_root),
-    ("diffusivity", "d1q3", None,
-     "measure bulk diffusivity from a decaying density wave",
-     _cmd_transport),
-    ("viscosity", "d2q9", None,
-     "measure shear viscosity from a decaying shear wave",
-     _cmd_transport),
-)
+_COMMANDS = {
+    "poisson-1d": ("d1q3", None, _cmd_profile,
+        "march the source-driven line scheme and locate both walls"),
+    "poiseuille-force": ("d2q9", "force-split-half", _cmd_profile,
+        "split-half forced channel flow, wall offsets from the profile"),
+    "poiseuille-force-pop": ("d2q9", "force-population", _cmd_profile,
+        "population-forced channel flow, wall offsets from the profile"),
+    "poiseuille-pressure": ("d2q9", "pressure", _cmd_profile,
+        "pressure-driven channel flow, wall offsets from the profile"),
+    "sweep": (None, None, _cmd_sweep,
+        "measure the wall offset over a list of sigma products"),
+    "magic-root": (None, None, _cmd_magic_root,
+        "find the sigma product where the offset is half a spacing (Brent)"),
+    "diffusivity": ("d1q3", None, _cmd_transport,
+        "measure bulk diffusivity from a decaying density wave"),
+    "viscosity": ("d2q9", None, _cmd_transport,
+        "measure shear viscosity from a decaying shear wave"),
+}
 
 
 def _write(table, figure, out_dir, command):
@@ -291,11 +284,11 @@ def _write(table, figure, out_dir, command):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    model, driving, handler, _ = _COMMANDS[args.command]
     try:
-        cfg = _load_config(args)
-        table, figure = args.handler(cfg)
+        cfg = _load_config(args, (model, driving))
+        table, figure = handler(cfg)
         out_dir = args.out if args.out is not None else cfg.out_dir
         _write(table, figure, out_dir, args.command)
         return 0

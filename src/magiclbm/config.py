@@ -5,8 +5,7 @@ A run is described by a flat INI document with a handful of sections
 [root], [measure], [output]).  Parsing is strict and total:
 unknown sections or keys are rejected, and every violation in the
 document is collected and reported in a single pass, annotated with the
-source file and line where the offending key appears (the pressure
-predictor's singularity is checked once the experiment builds).
+source file and line where the offending key appears.
 
 Every key is one row of ``_TABLE``; parsing, the rejection of unknown
 keys and of keys not meaningful for the chosen scheme, the canonical
@@ -391,11 +390,7 @@ def parse_config(text, overrides=(), source="<config>", implied=(None, None)):
         cls = _EXPERIMENTS[values["model"]]
         exp = build(cls, criterion=criterion or SteadyStateCriterion())
     if exp is not None:
-        try:
-            product = predicted_product(exp)
-        except ConfigurationError as exc:  # a singular pressure predictor
-            note("scheme", "beta", str(exc))
-            product = 0.0
+        product = predicted_product(exp)
         if product > 0.0:
             values.setdefault("products", tuple(f * product for f in _DEFAULT_SWEEP_FACTORS))
             for name, f in zip(("bracket_lo", "bracket_hi"), _DEFAULT_BRACKET_FACTORS):

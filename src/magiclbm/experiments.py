@@ -110,6 +110,11 @@ def _refuse_violations(exp, rules, positive):
         raise ConfigurationError(f"invalid {type(exp).__name__}", problems)
 
 
+def _singular_predictor(alpha, beta):
+    """Whether the pressure predictor's denominator alpha + 2 beta - 4 vanishes."""
+    return abs(alpha + 2.0 * beta - 4.0) < 1e-12
+
+
 def _default_zeta(variant):
     """The line's second-moment equilibrium coefficient when none is given.
 
@@ -177,7 +182,7 @@ class D2Q9Experiment:
     a ``driving`` not in ``DRIVING_TAGS``, ``nx`` or ``ny`` < 5, a float
     that is not finite, ``sigma5`` or ``sigma8`` <= 0, ``s_bulk`` outside
     (0, 2), and, under pressure driving, a squared sound speed
-    (4 + alpha)/6 <= 0.
+    (4 + alpha)/6 <= 0 or a singular predictor, alpha + 2 beta - 4 = 0.
     """
 
     driving: str = "force-split-half"
@@ -204,6 +209,9 @@ class D2Q9Experiment:
              "must lie in the stability interval 0 < s < 2"),
             ("alpha", not pressure or boundaries.sound_speed_sq(self.alpha) > 0.0,
              "must give a positive squared sound speed (4 + alpha)/6 under pressure"),
+            ("beta", not (pressure and _singular_predictor(self.alpha, self.beta)),
+             "must not give alpha + 2 beta - 4 = 0 under pressure, where the "
+             "predictor is singular"),
         ], positive=self.factors)
 
     @property
@@ -477,13 +485,12 @@ def predict_magic(variant, alpha=None, beta=None):
             raise ConfigurationError(
                 "pressure-driven predictor needs equilibrium parameters alpha, beta"
             )
-        den = alpha + 2.0 * beta - 4.0
-        if abs(den) < 1e-12:
+        if _singular_predictor(alpha, beta):
             raise ConfigurationError(
                 "pressure-driven predictor is singular: alpha + 2 beta - 4 = 0 "
                 f"(alpha={alpha}, beta={beta})"
             )
-        return -0.375 * (alpha + 4.0) / den
+        return -0.375 * (alpha + 4.0) / (alpha + 2.0 * beta - 4.0)
     raise ConfigurationError(f"unknown scheme variant {variant!r} for predict_magic")
 
 

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from magiclbm.cli import build_parser, main
+from magiclbm.cli import _COMMANDS, build_parser, main
 
 
 def read_table(path):
@@ -326,6 +326,14 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert blocker.read_text() == "a file, not a directory\n"
 
 
+@pytest.mark.parametrize("argv", [["bench"], []], ids=["unknown", "missing"])
+def test_unknown_or_missing_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: magiclbm")
+
+
 def test_missed_bracket_exits_4(tmp_path, capsys):
     config = tmp_path / "root.ini"
     config.write_text(
@@ -349,7 +357,7 @@ _LINE_SAMPLES = (
 _CHANNEL = ("--override", "grid.nx=5", "--override", "grid.ny=7")
 _WAVE = ("--override", "measure.steps=300", "--override", "measure.skip=50")
 
-# Every subcommand once, each on a grid that takes milliseconds.
+# Every command once, each on a grid that takes milliseconds.
 _SMALL_RUNS = (
     ("poisson-1d", "--override", "grid.n=8"),
     ("poiseuille-force", *_CHANNEL),
@@ -434,26 +442,48 @@ def test_setup_probe_runs_on_the_default_schemes(tmp_path):
     assert set(json.loads(sample)) == {"import_s", "config_s"}
 
 
-def test_parser_lists_all_commands():
-    parser = build_parser()
-    text = parser.format_help()
-    for command in (
-        "poisson-1d", "poiseuille-force", "poiseuille-force-pop",
-        "poiseuille-pressure", "sweep", "magic-root", "diffusivity",
-        "viscosity",
-    ):
-        assert command in text
+def test_parser_lists_all_commands(capsys):
+    # One help text, whether or not a command comes first.
+    for argv in (["--help"], ["magic-root", "--help"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, (*_, help_text) in _COMMANDS.items():
+            assert [name, *help_text.split()] in [line.split() for line in lines]
+
+
+def test_main_builds_one_parser_per_call(tmp_path, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for calls in (1, 2):
+        assert run_cli(tmp_path, "poisson-1d", "--override", "grid.n=8") == 0
+        assert len(built) == calls
+
+
+def test_options_may_come_before_the_command(tmp_path):
+    written = []
+    for first in (True, False):
+        out = tmp_path / str(first)
+        options = ["--out", str(out), "--override", "grid.n=8"]
+        assert main([*options, "poisson-1d"] if first else ["poisson-1d", *options]) == 0
+        written.append((out / "poisson-1d.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_readme_command_block_lists_exactly_the_parser_commands():
-    # A removed or renamed subcommand must not linger in the docs.
+    # A removed or renamed command must not linger in the docs.
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
     block = block.split("```", 1)[0]
     documented = {line.split()[1] for line in block.splitlines() if line.strip()}
-    parser = build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert documented == set(sub.choices)
+    (command,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert documented == set(command.choices)
 
 
 def test_module_entry_point_runs():

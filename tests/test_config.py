@@ -315,6 +315,14 @@ def test_singular_pressure_predictor_is_a_parse_error():
     assert "alpha + 2 beta - 4 = 0" in violation
 
 
+def test_singular_pressure_predictor_is_listed_with_the_other_violations():
+    problems = violations_of(
+        "[scheme]\nmodel = d2q9\ndriving = pressure\nalpha = -5\nbeta = 4.5\n"
+    )
+    assert [p.split(": ")[1] for p in problems] == ["scheme.alpha", "scheme.beta"]
+    assert "alpha + 2 beta - 4 = 0" in problems[1]
+
+
 def test_implied_scheme_fills_missing_keys_and_files_conflicts():
     implied = ("d2q9", "pressure")
     exp = parse_config("", source="<defaults>", implied=implied).experiment

@@ -550,6 +550,16 @@ def test_pressure_channel_refuses_a_non_positive_sound_speed(alpha):
     D2Q9Experiment(driving="force-split-half", alpha=alpha)
 
 
+def test_pressure_channel_refuses_a_singular_predictor():
+    # alpha + 2 beta - 4 = 0 leaves the magic product undefined; the force
+    # drivings do not use it.
+    with pytest.raises(ConfigurationError) as excinfo:
+        D2Q9Experiment(driving="pressure", alpha=-2, beta=3)
+    (violation,) = excinfo.value.violations
+    assert violation.startswith("beta must not give alpha + 2 beta - 4 = 0")
+    D2Q9Experiment(driving="force-split-half", alpha=-2, beta=3)
+
+
 def test_experiments_list_every_violation():
     with pytest.raises(ConfigurationError) as excinfo:
         D1Q3Experiment(n=2, sigma1=-1.0, zeta=0.0)
