@@ -100,9 +100,10 @@ def fit_parabola(x, u):
     u = np.asarray(u, dtype=np.float64).ravel()
     if x.shape != u.shape:
         raise FitError(f"abscissae and values differ in length: {x.size} vs {u.size}")
-    if np.unique(x).size < 3:
+    distinct = np.unique(x).size
+    if distinct < 3:
         raise FitError(
-            f"parabola fit needs at least 3 distinct abscissae, got {np.unique(x).size}"
+            f"parabola fit needs at least 3 distinct abscissae, got {distinct}"
         )
 
     # Center and scale the abscissa before solving; the quadratic root

@@ -27,12 +27,16 @@ Every plane march goes through ``_mirror_map``: on a full field the fold
 is the identity and the map is ``_stream_map``'s.
 
 Both lattices share one time loop, ``_march``, with the gather bound
-once before it.  The loop steps through a ring of m states: step k
-multiplies row k - 1 (mod m) and gathers into row k, so the march keeps
-m consecutive states with no copy.  Unobserved, m is 1 and the step is
-in place.  Observed, the ring holds about ``_OBSERVE_BYTES``, and the
-observer is handed a read-only view of it when it is full, and once more
-for the rest, so observing costs one call per block, not per step.
+once before it.  The loop gathers through its own writable copy of
+``idx`` (``take`` would copy a read-only index on every step) and
+multiplies through the bound ``kc.dot`` (``np.dot`` would go through
+numpy's dispatcher on every step).  The loop steps through a ring of m
+states: step k multiplies row k - 1 (mod m) and gathers into row k, so
+the march keeps m consecutive states with no copy.  Unobserved, m is 1
+and the step is in place.  Observed, the ring holds about
+``_OBSERVE_BYTES``, and the observer is handed a read-only view of it
+when it is full, and once more for the rest, so observing costs one call
+per block, not per step.
 """
 
 import functools
@@ -178,12 +182,14 @@ def _march(f, steps, kc, idx, b, observe):
     states = ring[:, :q].reshape((m,) + f.shape)
     states[-1] = f
     post = np.empty((len(kc), ring.shape[2]))
-    dot, take = np.dot, post.reshape(-1).take
+    # take would copy the caches' shared read-only idx on every step, and
+    # np.dot would dispatch on every step: one writable copy, and kc.dot.
+    dot, take, idx = kc.dot, post.reshape(-1).take, idx.copy()
     writes = states.reshape(m, -1)
     rows = [(ring[k - 1], writes[k]) for k in range(m)]
     last = rows[-1][1] if observe is not None else None
     for src, dst in itertools.islice(itertools.cycle(rows), steps):
-        dot(kc, src, post)
+        dot(src, post)
         take(idx, out=dst, mode="clip")
         if b is not None:
             dst += b

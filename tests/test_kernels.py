@@ -459,6 +459,66 @@ def test_observer_block_is_read_only(case):
     with pytest.raises(ValueError, match="read-only"):
         run(f, 5, observe=scribble)
 
+
+# The three march shapes of a root search: a line, a force column (lower
+# rows of a 7-high channel) and the pressure quarter grid of 40x9.
+GATHER_CASES = {
+    "line": ((3, 32), diffusion_closures(), {}),
+    "force-column": (
+        (9, 4, 1), force_channel_closures(),
+        {"driving": "force-split-half", "fx": 1e-6, "ny": 7},
+    ),
+    "pressure-quarter": (
+        (9, 5, 20), pressure_channel_closures(3e-6), {"ny": 9, "nx": 40}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GATHER_CASES))
+def test_step_gathers_through_a_writable_index_and_keeps_the_caches_read_only(
+    case, monkeypatch
+):
+    # take copies a read-only, non-intp or non-contiguous index on every
+    # call, so each step must hand it a writable C-contiguous intp one; that
+    # copy is the march's own, and the cached maps and operators every later
+    # call shares stay read-only.
+    shape, closures, kw = GATHER_CASES[case]
+    seen, operands, march = [], [], kernels._march
+
+    class RecordingPost(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            flags = indices.flags
+            seen.append((indices.dtype, flags.writeable, flags.c_contiguous))
+            return super().take(indices, *args, **kwargs)
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(*args, **kwargs):
+            return np.empty(*args, **kwargs).view(RecordingPost)
+
+    def capture(f, steps, kc, idx, b, observe):
+        operands.append((kc, idx, b))
+        return march(f, steps, kc, idx, b, observe)
+
+    monkeypatch.setattr(kernels, "np", RecordingNumpy())
+    monkeypatch.setattr(kernels, "_march", capture)
+    f = np.random.default_rng(66).normal(size=shape)
+    if len(shape) == 2:
+        d1q3_run(f, 5, closures, relaxation_d1q3(1.0, 1.0), "a", ZETA["a"], 1e-6)
+    else:
+        d2q9_run(f, 5, closures, relaxation_d2q9(0.375, 1.0), -2.0, 1.0, **kw)
+    monkeypatch.undo()
+    assert seen == [(np.dtype(np.intp), True, True)] * 5
+    [cached] = operands
+    if len(shape) == 3:
+        full = (9, kw["ny"], kw.get("nx", shape[2]))
+        cached += kernels._stream_map(D2Q9, full, closures, -2.0, 1.0)[:2]
+    assert not any(a.flags.writeable for a in cached if a is not None)
+
+
 def test_kernel_does_not_modify_input():
     # Zero steps return an independent copy; no step count writes to f.
     rng = np.random.default_rng(62)
