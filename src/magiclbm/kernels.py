@@ -8,13 +8,17 @@ affine in the populations, so a step is ``f <- sign * (K f + c)[idx] + b``.
 helpers, ``from_moments``) applied to unit vectors and to zero; ``idx,
 sign`` the ``lattice.stream`` of an index field through the closures
 with their imposed scalars zeroed; ``b`` the stream of zeros through
-the closures as given.  A step is one product and one gather, and the
-product holds only the operator rows the gather reads: ``[K c]`` times
-``[f; 1]``, with ``c`` and the row of ones left out when ``c`` is zero
-(no source or force), and ``[-K -c]`` stacked below only when the stream
-map pulls a negated population (anti-bounce-back).  A periodic line or
-plane without driving multiplies by ``K`` alone.  Operators are built on
-first use and kept in small bounded caches, two lookups per call.
+the closures as given.  Each output thus reads one source, a population
+row with a sign and an offset, at some node.  ``_sources`` lists a map's
+distinct sources once, and the step operator has one row per source,
+``sign * [K c][row] + offset * e_ones``: a step is one product of that
+table with ``[f; 1]`` and one gather, with no sign or offset left to
+apply.  The column of ones is kept only when ``c`` (a source or a force)
+or an offset (a pressure face) is nonzero, and a negated row only where
+a population is pulled negated (anti-bounce-back).  A periodic line or
+plane without driving multiplies by ``K`` alone, a force channel by
+``[K c]``.  Maps and operators are built on first use and kept in small
+bounded caches, two lookups per call.
 
 A field symmetric about its mid-line, as a channel between two equal
 walls is, marches on its lower ``(ny + 1) // 2`` rows, and one
@@ -64,31 +68,34 @@ def _frozen(a):
     return a
 
 
-def _affine(collide, q, signed):
-    """The rows of ``[K c; -K -c]`` of a collision that a gather reads.
+def _affine(collide, q, sources):
+    """The step operator of a collision: one row per source a gather reads.
 
-    ``K, c`` come from q unit vectors plus zero.  The column ``c`` is kept
-    only when it is nonzero (the step then multiplies ``[f; 1]``), and
-    the negated rows only for a ``signed`` stream map.
+    ``K, c`` come from q unit vectors plus zero, and the row of the source
+    ``(row, sign, offset)`` is ``sign * [K c][row] + offset * e_ones``.  The
+    column of ones is kept only when ``c`` or an offset is nonzero (the
+    step then multiplies ``[f; 1]``).
     """
     out = collide(np.eye(q, q + 1))
-    k, c = out[:, :q] - out[:, q:], out[:, q:]
-    kc = np.hstack([k, c]) if c.any() else k
-    return _frozen(np.vstack([kc, -kc]) if signed else kc)
+    kc = np.hstack([out[:, :q] - out[:, q:], out[:, q:]])
+    rows, signs, offsets = (np.array(a) for a in zip(*sources))
+    kc = signs[:, None] * kc[rows]
+    kc[:, q] += offsets
+    return _frozen(kc if kc[:, q].any() else np.ascontiguousarray(kc[:, :q]))
 
 
 @functools.lru_cache(maxsize=64)
-def _line_operator(variant, zeta, rates, source, signed):
+def _line_operator(variant, zeta, rates, source, sources):
     basis = build_d1q3_basis(variant)
     def collide(f):
         m = col.apply_diffusion_source(to_moments(basis, f), source)
         m = col.relax(m, col.equilibrium_d1q3(variant, m[0], zeta), rates)
         return from_moments(basis, col.apply_diffusion_source(m, source))
-    return _affine(collide, 3, signed)
+    return _affine(collide, 3, sources)
 
 
 @functools.lru_cache(maxsize=64)
-def _plane_operator(rates, alpha, beta, driving, fx, signed):
+def _plane_operator(rates, alpha, beta, driving, fx, sources):
     if driving not in _FORCINGS:
         raise ValueError(f"unknown driving {driving!r}, expected one of {_FORCINGS}")
     basis = build_d2q9_basis()
@@ -102,13 +109,12 @@ def _plane_operator(rates, alpha, beta, driving, fx, signed):
         elif driving == "force-population":
             m = col.apply_force_population(m, fx)
         return from_moments(basis, m)
-    return _affine(collide, 9, signed)
+    return _affine(collide, 9, sources)
 
 
 @functools.lru_cache(maxsize=16)
 def _stream_map(spec, shape, closures, alpha, beta):
-    """``idx`` into ``[post; -post]``, the offset ``b`` (None when zero)
-    and whether any index pulls a negated population.
+    """``idx`` into ``[post; -post]`` and the offset ``b`` (None when zero).
 
     The index field is streamed with the imposed scalars zeroed: an
     offset added to a pulled index would be truncated to a wrong one.
@@ -120,7 +126,7 @@ def _stream_map(spec, shape, closures, alpha, beta):
     idx = np.abs(pulled).astype(np.intp) - 1
     idx = np.where(signed, idx + idx.size, idx)
     b = stream(spec, np.zeros(shape), closures, alpha, beta).ravel()
-    return _frozen(idx), (_frozen(b) if b.any() else None), bool(signed.any())
+    return _frozen(idx), (_frozen(b) if b.any() else None)
 
 
 @functools.lru_cache(maxsize=16)
@@ -154,7 +160,7 @@ def _mirror_map(shape, ny, nx, closures, alpha, beta):
     """
     full = (D2Q9.q, ny, nx)
     fold, negated = _fold(shape, ny, nx)
-    idx, b, _ = _stream_map(D2Q9, full, closures, alpha, beta)
+    idx, b = _stream_map(D2Q9, full, closures, alpha, beta)
     part = (slice(None), slice(shape[1]), slice(shape[2]))
     idx = idx.reshape(full)[part].ravel()
     source = idx % fold.size
@@ -162,7 +168,32 @@ def _mirror_map(shape, ny, nx, closures, alpha, beta):
     idx = fold[source] + signed * idx.size
     if b is not None:
         b = _frozen(b.reshape(full)[part].ravel())
-    return _frozen(idx), b, bool(signed.any())
+    return _frozen(idx), b
+
+
+@functools.lru_cache(maxsize=16)
+def _sources(q, stream_map, *key):
+    """The distinct sources the gather of ``stream_map(*key)`` reads, and
+    its ``idx`` into their table.
+
+    Each output of a step pulls ``sign * (K f + c)[row]`` at some node and
+    adds the offset ``b``: its source is ``(row, sign, offset)``.  The
+    sources come unsigned first, in row order, so a map that pulls every
+    population plainly and adds nothing reads ``[K c]`` as it is.  The
+    new ``idx`` points into the ``(sources, nodes)`` table of their values.
+    """
+    idx, b = stream_map(*key)
+    n = idx.size // q
+    rows, nodes = np.divmod(idx % idx.size, n)
+    offsets = np.zeros(idx.size) if b is None else b + 0.0  # no -0.0 source
+    table, which = np.unique(
+        np.column_stack([idx >= idx.size, rows, offsets]), axis=0, return_inverse=True
+    )
+    sources = tuple(
+        (int(row), -1.0 if negated else 1.0, float(offset))
+        for negated, row, offset in table
+    )
+    return sources, _frozen(which.reshape(-1) * n + nodes)
 
 
 def unfold(f, ny=None, nx=None):
@@ -174,7 +205,19 @@ def unfold(f, ny=None, nx=None):
     return np.negative(g, out=g, where=negated).reshape(full)
 
 
-def _march(f, steps, kc, idx, b, observe):
+def _step_count(steps):
+    """``steps`` as an int, refused unless it is a whole number >= 0."""
+    try:
+        count = int(steps)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != steps or count < 0:
+        raise ValueError(f"steps must be a whole number >= 0, got {steps!r}")
+    return count
+
+
+def _march(f, steps, kc, idx, observe):
+    steps = _step_count(steps)
     f = np.asarray(f, dtype=np.float64)
     q = len(f)
     m = 1 if observe is None else max(1, min(steps, _OBSERVE_BYTES // f.nbytes))
@@ -191,8 +234,6 @@ def _march(f, steps, kc, idx, b, observe):
     for src, dst in itertools.islice(itertools.cycle(rows), steps):
         dot(src, post)
         take(idx, out=dst, mode="clip")
-        if b is not None:
-            dst += b
         if dst is last:
             observe(_frozen(states.view()))
     if observe is not None and steps % m:
@@ -203,7 +244,8 @@ def _march(f, steps, kc, idx, b, observe):
 def d1q3_run(f, steps, closures, rates, variant, zeta, source=0.0, *, observe=None):
     """March the line scheme ``steps`` cycles; the (3, n) ``f`` is not modified.
 
-    ``closures`` is the tuple of left and right ``BoundaryClosure``
+    ``steps`` is a whole number >= 0 (of any numeric type); anything else
+    is refused with ``ValueError``.  ``closures`` is the tuple of left and right ``BoundaryClosure``
     (periodic or anti-bounce-back), ``rates`` the line's rate tuple,
     ``variant`` the moment basis ("a" or "b") and ``zeta`` its energy
     equilibrium coefficient.  ``source`` is the per-step density source,
@@ -214,9 +256,10 @@ def d1q3_run(f, steps, closures, rates, variant, zeta, source=0.0, *, observe=No
     states, valid only during the call: the observer must neither keep
     nor modify it.
     """
-    idx, b, signed = _stream_map(D1Q3, np.shape(f), closures, None, None)
-    operator = _line_operator(variant, float(zeta), rates, float(source), signed)
-    return _march(f, int(steps), operator, idx, b, observe)
+    shape = np.shape(f)
+    sources, idx = _sources(D1Q3.q, _stream_map, D1Q3, shape, closures, None, None)
+    operator = _line_operator(variant, float(zeta), rates, float(source), sources)
+    return _march(f, steps, operator, idx, observe)
 
 
 def d2q9_run(
@@ -238,8 +281,8 @@ def d2q9_run(
     ``(nx + 1) // 2`` columns: the field is then taken as antisymmetric
     about the mid-column, which holds for an antisymmetric start, and is
     refused unless the x faces are pressure-abb with opposite scalars and
-    there is no body force.  ``observe`` is called as in ``d1q3_run``,
-    with ``(m, 9, rows, cols)`` blocks.
+    there is no body force.  ``steps`` is checked and ``observe`` is
+    called as in ``d1q3_run``, with ``(m, 9, rows, cols)`` blocks.
     """
     alpha, beta = float(alpha), float(beta)
     shape = np.shape(f)
@@ -253,6 +296,6 @@ def d2q9_run(
                 "a field of west columns needs pressure-abb x faces with opposite "
                 "scalars and no body force"
             )
-    idx, b, signed = _mirror_map(shape, ny, nx, closures, alpha, beta)
-    operator = _plane_operator(rates, alpha, beta, driving, float(fx), signed)
-    return _march(f, int(steps), operator, idx, b, observe)
+    sources, idx = _sources(D2Q9.q, _mirror_map, shape, ny, nx, closures, alpha, beta)
+    operator = _plane_operator(rates, alpha, beta, driving, float(fx), sources)
+    return _march(f, steps, operator, idx, observe)

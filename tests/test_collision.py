@@ -192,7 +192,8 @@ def population_force_column(fx):
     constant column of the plane kernel's step operator, which is what one
     collision adds to a field at rest."""
     rates = relaxation_d2q9(0.375, 1.0)
-    return kernels._plane_operator(rates, -2.0, 1.0, "force-population", fx, False)[:, -1]
+    plain = tuple((j, 1.0, 0.0) for j in range(9))
+    return kernels._plane_operator(rates, -2.0, 1.0, "force-population", fx, plain)[:, -1]
 
 
 def test_population_force_increments_match_moment_image():

@@ -732,15 +732,15 @@ def test_root_searches_update_few_nodes():
 
 
 def test_root_searches_multiply_only_the_operator_rows_they_read():
-    # Anti-bounce-back lines read the negated rows and add the source;
-    # split-half walls are unsigned but forced; the pressure faces are
-    # signed, and their offset enters after the gather.
+    # Anti-bounce-back lines read two negated rows and add the source;
+    # split-half walls are unsigned but forced; the pressure faces read six
+    # negated rows, three of them with the face's offset in the ones column.
     shapes = {name: logged_root_search(name)[3] for name in ROOT_SEARCHES}
     assert shapes == {
-        "line-a": {(6, 4)},
-        "line-b": {(6, 4)},
+        "line-a": {(5, 4)},
+        "line-b": {(5, 4)},
         "split-half": {(9, 10)},
-        "pressure": {(18, 9)},
+        "pressure": {(15, 10)},
     }
 
 

@@ -281,8 +281,16 @@ LEAN_PLANE_CASES = {
     "pressure-40x9": (
         (9, 40), pressure_channel_closures(1e-6), (0.09375, 2.0), None, 0.0
     ),
+    "pressure-quarter-40x9": (
+        (5, 20), pressure_channel_closures(1e-6), (0.09375, 2.0), None, 0.0
+    ),
     "periodic-64x4": ((4, 64), periodic_plane_closures(), (0.375, 1.0), None, 0.0),
 }
+
+# The full (ny, nx) grid of a case that marches only part of it: the
+# benchmark's pressure channel marches its lower rows and west columns, so
+# its offsets and negated pulls are those of the x fold.
+LEAN_FULL_GRIDS = {"pressure-quarter-40x9": (9, 40)}
 
 LEAN_STEPS = 100
 
@@ -294,24 +302,24 @@ def _stacked_operator(collide, q):
     return np.vstack([kc, -kc])
 
 
-def _assert_lean_step_equals_stacked_step(f, run, collide, monkeypatch):
-    # The kernel's operator, gather and offset, taken from its one march.
+def _assert_lean_step_equals_stacked_step(f, run, collide, raw_map, monkeypatch):
+    # The kernel's operator, taken from its one march.
     operands, states, march = [], [], kernels._march
 
-    def capture(f, steps, kc, idx, b, observe):
-        operands.append((kc, idx, b))
-        return march(f, steps, kc, idx, b, observe)
+    def capture(f, steps, kc, idx, observe):
+        operands.append(kc)
+        return march(f, steps, kc, idx, observe)
 
     monkeypatch.setattr(kernels, "_march", capture)
     run(f, LEAN_STEPS, observe=lambda block: states.extend(block.copy()))
-    [(kc, idx, b)] = operands
+    [kc] = operands
     q = len(f)
-    # Negated rows only where the gather reads them; padded back with a
-    # zero column and the negated rows, the operator is the stacked one.
-    assert (len(kc) == 2 * q) == bool(idx.max() >= f.size)
-    top = kc[:q] if kc.shape[1] > q else np.hstack([kc[:q], np.zeros((q, 1))])
-    stacked = np.vstack([top, -top])
-    assert np.array_equal(stacked, _stacked_operator(collide, q))
+    stacked = _stacked_operator(collide, q)
+    # Each row of the kernel's operator is a row of the stacked one, its
+    # ones column (when kept) carrying the row's offset.
+    assert all((row[:q] == stacked[:, :q]).all(axis=1).any() for row in kc)
+    # The stacked step, gathered through the raw stream map, then offset.
+    idx, b = raw_map
     state = np.ones((q + 1, f.size // q))
     state[:q] = f.reshape(q, -1)
     flat = state[:q].reshape(-1)
@@ -333,6 +341,7 @@ def test_lean_line_step_equals_the_stacked_step_bitwise(case, monkeypatch):
             f, steps, variant, *sigmas, closures, source, **kw
         ),
         _reference_line_collision(variant, *sigmas, ZETA[variant], source),
+        kernels._stream_map(D1Q3, f.shape, closures, None, None),
         monkeypatch,
     )
 
@@ -340,14 +349,16 @@ def test_lean_line_step_equals_the_stacked_step_bitwise(case, monkeypatch):
 @pytest.mark.parametrize("case", list(LEAN_PLANE_CASES))
 def test_lean_plane_step_equals_the_stacked_step_bitwise(case, monkeypatch):
     shape, closures, sigmas, driving, fx = LEAN_PLANE_CASES[case]
+    ny, nx = LEAN_FULL_GRIDS.get(case, shape)
     f = np.random.default_rng(81).normal(size=(9,) + shape)
     settings = relaxation_d2q9(*sigmas)
     _assert_lean_step_equals_stacked_step(
         f,
         lambda f, steps, **kw: d2q9_run(
-            f, steps, closures, settings, -2.0, 1.0, driving, fx, **kw
+            f, steps, closures, settings, -2.0, 1.0, driving, fx, ny=ny, nx=nx, **kw
         ),
         _reference_plane_collision(*sigmas, -2.0, 1.0, fx, driving),
+        kernels._mirror_map(f.shape, ny, nx, closures, -2.0, 1.0),
         monkeypatch,
     )
 
@@ -474,6 +485,14 @@ GATHER_CASES = {
 }
 
 
+def _gather_call(f, steps, closures, kw, sigmas=(1.0, 1.0)):
+    """March a ``GATHER_CASES`` field at the given rates."""
+    if f.ndim == 2:
+        rates = relaxation_d1q3(*sigmas)
+        return d1q3_run(f, steps, closures, rates, "a", ZETA["a"], 1e-6)
+    return d2q9_run(f, steps, closures, relaxation_d2q9(*sigmas), -2.0, 1.0, **kw)
+
+
 @pytest.mark.parametrize("case", list(GATHER_CASES))
 def test_step_gathers_through_a_writable_index_and_keeps_the_caches_read_only(
     case, monkeypatch
@@ -481,15 +500,23 @@ def test_step_gathers_through_a_writable_index_and_keeps_the_caches_read_only(
     # take copies a read-only, non-intp or non-contiguous index on every
     # call, so each step must hand it a writable C-contiguous intp one; that
     # copy is the march's own, and the cached maps and operators every later
-    # call shares stay read-only.
+    # call shares stay read-only.  A step is one product and one gather: no
+    # ufunc (an offset added in place) touches the march's arrays.
     shape, closures, kw = GATHER_CASES[case]
-    seen, operands, march = [], [], kernels._march
+    seen, ufuncs, operands, march = [], [], [], kernels._march
 
-    class RecordingPost(np.ndarray):
+    class Recording(np.ndarray):
         def take(self, indices, *args, **kwargs):
             flags = indices.flags
             seen.append((indices.dtype, flags.writeable, flags.c_contiguous))
             return super().take(indices, *args, **kwargs)
+
+        def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+            ufuncs.append(ufunc.__name__)
+            args = [a.view(np.ndarray) if isinstance(a, Recording) else a for a in args]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(o.view(np.ndarray) for o in kwargs["out"])
+            return getattr(ufunc, method)(*args, **kwargs)
 
     class RecordingNumpy:
         def __getattr__(self, name):
@@ -497,26 +524,87 @@ def test_step_gathers_through_a_writable_index_and_keeps_the_caches_read_only(
 
         @staticmethod
         def empty(*args, **kwargs):
-            return np.empty(*args, **kwargs).view(RecordingPost)
+            return np.empty(*args, **kwargs).view(Recording)
 
-    def capture(f, steps, kc, idx, b, observe):
-        operands.append((kc, idx, b))
-        return march(f, steps, kc, idx, b, observe)
+        @staticmethod
+        def ones(*args, **kwargs):
+            return np.ones(*args, **kwargs).view(Recording)
+
+    def capture(f, steps, kc, idx, observe):
+        operands.append((kc, idx))
+        return march(f, steps, kc, idx, observe)
 
     monkeypatch.setattr(kernels, "np", RecordingNumpy())
     monkeypatch.setattr(kernels, "_march", capture)
-    f = np.random.default_rng(66).normal(size=shape)
-    if len(shape) == 2:
-        d1q3_run(f, 5, closures, relaxation_d1q3(1.0, 1.0), "a", ZETA["a"], 1e-6)
-    else:
-        d2q9_run(f, 5, closures, relaxation_d2q9(0.375, 1.0), -2.0, 1.0, **kw)
+    _gather_call(np.random.default_rng(66).normal(size=shape), 5, closures, kw)
     monkeypatch.undo()
     assert seen == [(np.dtype(np.intp), True, True)] * 5
+    assert ufuncs == []
     [cached] = operands
     if len(shape) == 3:
         full = (9, kw["ny"], kw.get("nx", shape[2]))
-        cached += kernels._stream_map(D2Q9, full, closures, -2.0, 1.0)[:2]
+        cached += kernels._stream_map(D2Q9, full, closures, -2.0, 1.0)
     assert not any(a.flags.writeable for a in cached if a is not None)
+
+
+# The source tables of the benchmark's pressure quarter grid and n = 32
+# anti-bounce-back line, and of transport's periodic 64-node row: every
+# plain row, negated rows only where pulled negated, and a ones column only
+# for a source or an offset.
+TABLE_CASES = {
+    "pressure-quarter": (*GATHER_CASES["pressure-quarter"], (15, 10)),
+    "line-n32": (*GATHER_CASES["line"], (5, 4)),
+    "periodic-row": ((9, 1, 64), periodic_plane_closures(), {}, (9, 9)),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_source_table_holds_exactly_what_the_gather_reads(case, monkeypatch):
+    # Every row of the operator is read, no two rows are equal, and the
+    # table is built once for its map, not again for each new operator.
+    shape, closures, kw, table = TABLE_CASES[case]
+    operands, march = [], kernels._march
+
+    def capture(f, steps, kc, idx, observe):
+        operands.append((kc, idx))
+        return march(f, steps, kc, idx, observe)
+
+    monkeypatch.setattr(kernels, "_march", capture)
+    kernels._sources.cache_clear()
+    f = np.random.default_rng(67).normal(size=shape)
+    for sigmas in ((1.0, 1.0), (0.375, 2.0), (1.0, 1.0)):
+        _gather_call(f, 2, closures, kw, sigmas)
+    assert kernels._sources.cache_info().misses == 1
+    (kc, idx), (other, other_idx), _ = operands
+    assert kc.shape == other.shape == table
+    assert idx is other_idx
+    assert not np.array_equal(kc, other)
+    assert np.array_equal(np.unique(idx // f[0].size), np.arange(len(kc)))
+    assert len(np.unique(kc, axis=0)) == len(kc)
+
+
+STEP_COUNT_CASES = {
+    "line": lambda f, n, **kw: _line_call(f, n, "b", 0.9, 0.2, diffusion_closures(), **kw),
+    "plane": lambda f, n, **kw: _plane_call(
+        f, n, 0.3, 1.1, pressure_channel_closures(3e-6), None, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
+@pytest.mark.parametrize("case", list(STEP_COUNT_CASES))
+def test_step_count_must_be_a_whole_number(case, observed):
+    # A negative or fractional count is refused by name, where islice would
+    # fail on one and int() would silently truncate the other; a whole
+    # number of any type marches as its int does.
+    run = STEP_COUNT_CASES[case]
+    f = np.random.default_rng(68).normal(size=(3, 8) if case == "line" else (9, 5, 6))
+    kw = {"observe": lambda block: None} if observed else {}
+    for bad in (-3, 2.7, -1.0, float("nan"), float("inf"), "3"):
+        with pytest.raises(ValueError, match=r"steps must be a whole number >= 0, got"):
+            run(f, bad, **kw)
+    for whole in (3.0, np.int64(3), np.float64(3.0)):
+        assert np.array_equal(run(f, whole, **kw), run(f, 3))
 
 
 def test_kernel_does_not_modify_input():
@@ -632,7 +720,7 @@ def test_full_stream_map_is_mirror_symmetric(shape, case):
     # The output mirrored about the mid-line pulls the mirrored source, with
     # the same sign, and gets the same offset.
     closures, _ = MIRROR_CASES[case]
-    idx, b, _ = kernels._stream_map(D2Q9, shape, closures, -2.0, 1.0)
+    idx, b = kernels._stream_map(D2Q9, shape, closures, -2.0, 1.0)
     size = np.prod(shape)
     signed = (idx >= size).reshape(shape)
     j, y, x = (a.reshape(shape) for a in np.unravel_index(idx % size, shape))
@@ -661,14 +749,11 @@ def test_mirror_map_of_a_full_field_is_the_stream_map(case):
     # Every plane march reads its map through _mirror_map; on a full field
     # the fold is the identity, so the map must be _stream_map's, bitwise.
     shape, closures = FULL_FIELDS[case]
-    idx, b, signed = kernels._mirror_map(shape, *shape[1:], closures, -2.0, 1.0)
-    plain_idx, plain_b, plain_signed = kernels._stream_map(
-        D2Q9, shape, closures, -2.0, 1.0
-    )
+    idx, b = kernels._mirror_map(shape, *shape[1:], closures, -2.0, 1.0)
+    plain_idx, plain_b = kernels._stream_map(D2Q9, shape, closures, -2.0, 1.0)
     assert np.array_equal(idx, plain_idx)
     assert (b is None) == (plain_b is None)
     assert b is None or np.array_equal(b, plain_b)
-    assert signed == plain_signed
 
 
 # Measured at most 6.6e-17 of the start's scale after STEPS steps; the
@@ -719,7 +804,7 @@ def test_full_pressure_stream_map_is_x_antisymmetric(shape):
     # The output mirrored about the mid-column pulls the mirrored source, with
     # the same sign, and gets the opposite offset: an antisymmetric field
     # streams to an antisymmetric one.
-    idx, b, _ = kernels._stream_map(
+    idx, b = kernels._stream_map(
         D2Q9, shape, pressure_channel_closures(3e-6), -2.0, 1.0
     )
     size = np.prod(shape)
