@@ -15,6 +15,7 @@ increment (the mid-collision value); the profile accessors apply that
 correction.  The pressure-driven scheme stores the observable directly.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -100,7 +101,7 @@ def _refuse_violations(exp, rules, positive):
     is not finite meets no other rule.  Each violation opens with its field.
     """
     values = {f.name: getattr(exp, f.name) for f in fields(exp)}
-    bad = [k for k, v in values.items() if isinstance(v, float) and not np.isfinite(v)]
+    bad = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
     rules = [*rules, *((k, values[k] > 0.0, "must be positive") for k in positive)]
     problems = [f"{k}={values[k]} is not finite" for k in bad] + [
         f"{k} {requirement}, got {values[k]}"
@@ -258,28 +259,31 @@ def _march(run_chunk, f, criterion):
     547 (1965)).  A window whose relative change did not fall from the
     previous one clears that history and the plain step G(f) follows.
     """
+    tolerance, check_every, max_steps = (
+        criterion.tolerance, criterion.check_every, criterion.max_steps
+    )
     steps_done = 0
     rel = None
-    history = []  # (window end, residual) of the last full windows
+    ends, residuals = [], []  # raveled, of the last full windows
     # A diverging field overflows inside the chunk before the check
     # below sees it; the ConvergenceError reports that, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        while steps_done < criterion.max_steps:
-            chunk = min(criterion.check_every, criterion.max_steps - steps_done)
+        while steps_done < max_steps:
+            chunk = min(check_every, max_steps - steps_done)
             f_new = run_chunk(f, chunk)
             steps_done += chunk
             residual = f_new - f
-            change = float(np.max(np.abs(residual)))
-            scale = float(np.max(np.abs(f_new)))
+            change = float(np.abs(residual).max())
+            scale = float(np.abs(f_new).max())
             f = f_new
             if scale == 0.0:
                 if change == 0.0:
                     return f, steps_done
                 continue
             last, rel = rel, change / scale / chunk
-            if rel < criterion.tolerance:
+            if rel < tolerance:
                 return f, steps_done
-            if not np.isfinite(rel):
+            if not math.isfinite(rel):
                 raise ConvergenceError(
                     f"march diverged: relative change per step {rel} after "
                     f"{steps_done} steps",
@@ -287,14 +291,16 @@ def _march(run_chunk, f, criterion):
                     steps=steps_done,
                 )
             if last is not None and rel >= last:
-                history = []
-            history = history[-ANDERSON_DEPTH:] + [(f_new.ravel(), residual.ravel())]
-            if len(history) > 1:
-                d_ends, d_residuals = (np.diff(a, axis=0) for a in zip(*history))
-                gamma = np.linalg.lstsq(d_residuals.T, residual.ravel(), rcond=None)[0]
-                f = f_new - (gamma @ d_ends).reshape(f.shape)
+                ends, residuals = [], []
+            r = residual.ravel()
+            ends = ends[-ANDERSON_DEPTH:] + [f_new.ravel()]
+            residuals = residuals[-ANDERSON_DEPTH:] + [r]
+            if len(ends) > 1:
+                e, res = np.array(ends), np.array(residuals)  # a row per window
+                gamma = np.linalg.lstsq((res[1:] - res[:-1]).T, r, rcond=None)[0]
+                f = f_new - (gamma @ (e[1:] - e[:-1])).reshape(f.shape)
     raise ConvergenceError(
-        f"no steady state within {criterion.max_steps} steps "
+        f"no steady state within {max_steps} steps "
         f"(last relative change per step {rel})",
         last_change=rel,
         steps=steps_done,
@@ -417,8 +423,8 @@ def velocity_profile(exp, f, column=None):
     """
     if column is None:
         column = exp.nx // 2
-    jx = (f[1] + f[5] + f[8]) - (f[3] + f[6] + f[7])
-    profile = jx[:, column].copy()
+    g = f[:, :, column]
+    profile = (g[1] + g[5] + g[8]) - (g[3] + g[6] + g[7])
     if exp.driving in ("force-split-half", "force-population"):
         profile += 0.5 * exp.fx
     y = np.arange(exp.ny, dtype=np.float64)
@@ -576,6 +582,10 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
 
     Raises
     ------
+    ConfigurationError
+        Up front, listing every violation: ``product_tol`` not finite or
+        not > 0, ``max_evals`` < 2, a bracket end that is not finite, or
+        a bracket that is not 0 < lo < hi.
     LocalizationError
         When the bracket shows no sign change, or the evaluation budget
         runs out before the bracket narrows to ``product_tol``.
@@ -584,8 +594,17 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
     if bracket is None:
         bracket = (0.5 * prediction, 2.0 * prediction)
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
-        raise ConfigurationError(f"invalid bracket ({lo}, {hi})")
+    problems = []
+    if not (math.isfinite(product_tol) and product_tol > 0.0):
+        problems.append(f"product_tol must be finite and > 0, got {product_tol}")
+    if not max_evals >= 2:
+        problems.append(f"max_evals must be >= 2, got {max_evals}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        problems.append(f"bracket ends must be finite, got ({lo}, {hi})")
+    elif not 0.0 < lo < hi:
+        problems.append(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if problems:
+        raise ConfigurationError("invalid root search", problems)
 
     samples = []
     settled = {}

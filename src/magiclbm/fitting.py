@@ -111,14 +111,17 @@ def fit_parabola(x, u):
     center = x.mean()
     span = x.max() - x.min()
     z = (x - center) / span
-    vand = np.stack([np.ones_like(z), z, z * z], axis=1)
+    vand = np.empty((x.size, 3))
+    vand[:, 0] = 1.0
+    vand[:, 1] = z
+    vand[:, 2] = z * z
     coef_z, *_ = np.linalg.lstsq(vand, u, rcond=None)
     b0, b1, b2 = coef_z
 
     fitted = vand @ coef_z
-    residual = float(np.sqrt(np.mean((fitted - u) ** 2)))
+    residual = float(np.sqrt(((fitted - u) ** 2).mean()))
 
-    scale = float(np.max(np.abs(u)))
+    scale = float(np.abs(u).max())
     if scale == 0.0 or abs(b2) < DEGENERACY_FLOOR * scale:
         raise FitError(
             "degenerate parabola fit: no curvature "

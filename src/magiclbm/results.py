@@ -51,6 +51,12 @@ def format_value(value):
     as the shortest decimal text that parses back to the identical float,
     tuples joined by ", ", anything else as ``str``.
     """
+    # Plain floats and ints skip the slower ``numbers`` checks; a bool and
+    # numpy scalars take those checks, with the same text.
+    if type(value) is float:
+        return repr(value)
+    if type(value) is int:
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, numbers.Integral):

@@ -210,6 +210,23 @@ def test_channel_profile_matches_poiseuille_solution():
     assert np.allclose(jx, expected, rtol=5e-3, atol=1e-12)
 
 
+@pytest.mark.parametrize("column", [None, 3, -1])
+@pytest.mark.parametrize("exp", [
+    D2Q9Experiment(driving="force-split-half", nx=100, ny=7),
+    D2Q9Experiment(driving="force-population", nx=6, ny=11, fx=3e-5),
+    D2Q9Experiment(driving="pressure", nx=40, ny=9),
+], ids=["split-half-100x7", "population-6x11", "pressure-40x9"])
+def test_velocity_profile_reads_its_column_as_the_full_grid_formula(exp, column):
+    f = np.random.default_rng(7).normal(size=(9, exp.ny, exp.nx))
+    jx = (f[1] + f[5] + f[8]) - (f[3] + f[6] + f[7])
+    want = jx[:, exp.nx // 2 if column is None else column].copy()
+    if exp.driving != "pressure":
+        want += 0.5 * exp.fx
+    y, got = velocity_profile(exp, f, column=column)
+    assert got.tobytes() == want.tobytes()
+    assert y.tobytes() == np.arange(exp.ny, dtype=np.float64).tobytes()
+
+
 def test_pressure_offset_is_insensitive_to_drive_amplitude():
     # The imposed density offset only scales the linear solution, so the
     # crossing location cannot see it.
@@ -342,6 +359,83 @@ def test_accelerated_march_settles_where_the_plain_one_does(name):
     assert wall_offset(exp, f).delta_q == pytest.approx(
         wall_offset(exp, g).delta_q, abs=1e-12
     )
+
+
+def anderson_march(run_chunk, f, criterion):
+    """The window loop as it was written before its bookkeeping was trimmed:
+    ``np.max`` of ``np.abs``, the history as (end, residual) pairs and the
+    differences by ``np.diff`` over ``zip(*history)``.  Returns (f, steps,
+    clears), clears counting the windows that emptied the history."""
+    steps_done, rel, history, clears = 0, None, [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps_done < criterion.max_steps:
+            chunk = min(criterion.check_every, criterion.max_steps - steps_done)
+            f_new = run_chunk(f, chunk)
+            steps_done += chunk
+            residual = f_new - f
+            change = float(np.max(np.abs(residual)))
+            scale = float(np.max(np.abs(f_new)))
+            f = f_new
+            if scale == 0.0:
+                if change == 0.0:
+                    return f, steps_done, clears
+                continue
+            last, rel = rel, change / scale / chunk
+            if rel < criterion.tolerance:
+                return f, steps_done, clears
+            assert np.isfinite(rel)
+            if last is not None and rel >= last:
+                history = []
+                clears += 1
+            history = history[-experiments.ANDERSON_DEPTH:] + [
+                (f_new.ravel(), residual.ravel())
+            ]
+            if len(history) > 1:
+                d_ends, d_residuals = (np.diff(a, axis=0) for a in zip(*history))
+                gamma = np.linalg.lstsq(d_residuals.T, residual.ravel(), rcond=None)[0]
+                f = f_new - (gamma @ d_ends).reshape(f.shape)
+    raise AssertionError("march did not settle")
+
+
+# (experiment, whether a window's relative change rises so the history is
+# cleared): the benchmark's line, force column and pressure quarter grid,
+# and three short windows that clear it.
+WINDOW_LOOP_CASES = {
+    "line": (D1Q3Experiment(variant="a", n=32, sigma1=2.0), False),
+    "force-column": (
+        D2Q9Experiment(driving="force-split-half", nx=100, ny=7, sigma8=2.0), False),
+    "pressure-quarter": (
+        D2Q9Experiment(driving="pressure", nx=40, ny=9, sigma8=2.0), False),
+    "line-cleared": (
+        D1Q3Experiment(variant="b", n=32, criterion=SteadyStateCriterion(check_every=5)),
+        True),
+    "force-column-cleared": (
+        D2Q9Experiment(driving="force-split-half", nx=100, ny=21,
+                       criterion=SteadyStateCriterion(check_every=10)), True),
+    "pressure-quarter-cleared": (
+        D2Q9Experiment(driving="pressure", nx=40, ny=9, sigma8=2.0,
+                       criterion=SteadyStateCriterion(check_every=5)), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_LOOP_CASES))
+def test_window_loop_marches_as_the_untrimmed_loop_does_bitwise(name, monkeypatch):
+    exp, cleared = WINDOW_LOOP_CASES[name]
+    march = experiments._march
+    calls = []
+
+    def captured(run_chunk, f, criterion):
+        calls.append((run_chunk, f, criterion))
+        return march(run_chunk, f, criterion)
+
+    monkeypatch.setattr(experiments, "_march", captured)
+    run_to_steady(exp)
+    (run_chunk, f0, criterion), = calls
+    f, steps = march(run_chunk, f0, criterion)
+    g, want_steps, clears = anderson_march(run_chunk, f0, criterion)
+    assert (clears > 0) == cleared
+    assert steps == want_steps
+    assert f.shape == g.shape and f.tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("zeta, plain_steps", [(1.5, 1300), (2.0, 900)])
@@ -656,6 +750,36 @@ def test_root_find_rejects_bad_bracket():
     exp = D1Q3Experiment(variant="a", **LINE)
     with pytest.raises(ConfigurationError, match="bracket"):
         find_magic_root(exp, bracket=(0.3, 0.1))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(product_tol=math.nan), "product_tol must be finite and > 0, got nan"),
+    (dict(product_tol=math.inf), "product_tol must be finite and > 0, got inf"),
+    (dict(product_tol=-1e-5), "product_tol must be finite and > 0, got -1e-05"),
+    (dict(product_tol=0.0), "product_tol must be finite and > 0, got 0.0"),
+    (dict(max_evals=0), "max_evals must be >= 2, got 0"),
+    (dict(max_evals=1), "max_evals must be >= 2, got 1"),
+    (dict(bracket=(0.05, math.inf)), r"bracket ends must be finite, got \(0.05, inf\)"),
+    (dict(bracket=(math.nan, 0.3)), r"bracket ends must be finite, got \(nan, 0.3\)"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "evals-0", "evals-1",
+        "bracket-inf", "bracket-nan"])
+def test_root_find_refuses_its_arguments_before_marching(kwargs, match, monkeypatch):
+    def no_march(*args, **kw):
+        raise AssertionError("marched before refusing")
+
+    monkeypatch.setattr(experiments, "run_to_steady", no_march)
+    exp = D1Q3Experiment(variant="a", **LINE)
+    with pytest.raises(ConfigurationError, match=match):
+        find_magic_root(exp, **{"bracket": (0.05, 0.3), **kwargs})
+
+
+def test_root_find_lists_every_refusal():
+    exp = D1Q3Experiment(variant="a", **LINE)
+    with pytest.raises(ConfigurationError) as excinfo:
+        find_magic_root(exp, bracket=(0.3, 0.1), product_tol=0.0, max_evals=1)
+    assert [v.split()[0] for v in excinfo.value.violations] == [
+        "product_tol", "max_evals", "bracket",
+    ]
 
 
 def test_root_find_respects_evaluation_budget():

@@ -82,6 +82,53 @@ def test_fit_rejects_linear_data():
         fit_parabola(x, 2.0 * x + 1.0)
 
 
+def stacked_fit(x, u):
+    """The fit as first written: ``np.stack`` of the Vandermonde columns,
+    the same ``lstsq``, and the residual and scale by module functions.
+    Returns (coefficients, residual, roots) as ParabolaFit holds them."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    u = np.asarray(u, dtype=np.float64).ravel()
+    center = x.mean()
+    span = x.max() - x.min()
+    z = (x - center) / span
+    vand = np.stack([np.ones_like(z), z, z * z], axis=1)
+    coef_z, *_ = np.linalg.lstsq(vand, u, rcond=None)
+    b0, b1, b2 = coef_z
+    residual = float(np.sqrt(np.mean((vand @ coef_z - u) ** 2)))
+    a2 = b2 / (span * span)
+    a1 = b1 / span - 2.0 * a2 * center
+    a0 = b0 - b1 * center / span + a2 * center * center
+    disc = b1 * b1 - 4.0 * b2 * b0
+    roots = None
+    if disc >= 0.0:
+        sq = np.sqrt(disc)
+        qq = -0.5 * (b1 + sq) if b1 >= 0.0 else -0.5 * (b1 - sq)
+        z1, z2 = (0.0, 0.0) if qq == 0.0 else (qq / b2, b0 / qq)
+        roots = tuple(float(r) for r in sorted((center + span * z1, center + span * z2)))
+    return tuple(float(c) for c in (a0, a1, a2)), residual, roots
+
+
+@given(
+    n=st.integers(3, 40),
+    start=st.floats(-50.0, 50.0),
+    curvature=st.floats(0.01, 10.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    vertex=st.floats(-30.0, 30.0),
+    level=st.floats(-5.0, 5.0),
+    noise=st.sampled_from([0.0, 1e-9, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_matches_the_stacked_vandermonde_fit_bitwise(
+    n, start, curvature, sign, vertex, level, noise, seed
+):
+    x = start + np.arange(n, dtype=np.float64)
+    u = sign * curvature * (x - vertex) ** 2 + level
+    u += noise * np.random.default_rng(seed).standard_normal(n)
+    fit = fit_parabola(x, u)
+    # repr tells -0.0 from 0.0 and prints every float exactly
+    assert repr((fit.coefficients, fit.residual, fit.roots)) == repr(stacked_fit(x, u))
+
+
 def test_degeneracy_floor_is_strict():
     assert DEGENERACY_FLOOR == 1e-14
 

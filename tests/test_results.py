@@ -12,6 +12,7 @@ from magiclbm.errors import ConfigurationError
 from magiclbm.results import (
     ResultTable,
     emit_plot_script,
+    format_value,
     to_csv,
     write_plot_script,
     write_table,
@@ -56,6 +57,22 @@ def test_known_seventeen_digit_value():
     # One third needs all 17 significant digits to survive the trip.
     table = ResultTable(columns=(("v", ""),), rows=((1.0 / 3.0,),), metadata=())
     assert to_csv(table).splitlines()[-1] == "0.3333333333333333"
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1 + 0.2, "0.30000000000000004"),
+    (-0.0, "-0.0"),
+    (1e-05, "1e-05"),
+    (5, "5"),
+    (True, "true"),
+    (np.float64(0.5), "0.5"),
+    (np.int64(3), "3"),
+    ((1, 0.25, False), "1, 0.25, false"),
+    ("d1q3-a", "d1q3-a"),
+], ids=["float", "negative-zero", "small-float", "int", "bool", "np-float64",
+        "np-int64", "tuple", "str"])
+def test_format_value_text(value, text):
+    assert format_value(value) == text
 
 
 def test_write_table_ends_with_newline(tmp_path):
