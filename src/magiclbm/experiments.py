@@ -307,7 +307,7 @@ def _march(run_chunk, f, criterion):
     )
 
 
-def run_to_steady(exp, init=None):
+def run_to_steady(exp, init=None, *, marched=False):
     """March an experiment to steady state from rest (or a warm start).
 
     A channel lies between two equal walls and is driven uniformly
@@ -322,8 +322,8 @@ def run_to_steady(exp, init=None):
     pressure channel therefore marches ``(9, h, (nx + 1) // 2)``, a force
     channel one ``(9, h, 1)`` column, and ``nx`` does not change a force
     channel's result.  Either is returned rebuilt (``kernels.unfold``),
-    and broadcast along x, to ``(9, ny, nx)``.  Lines march their whole
-    grid.
+    and broadcast along x, to ``(9, ny, nx)``, unless ``marched`` is set.
+    Lines march their whole grid.
 
     Parameters
     ----------
@@ -338,27 +338,33 @@ def run_to_steady(exp, init=None):
         x-dependent invariants of its start that the steady-state check
         cannot see, so a start whose columns differ is refused, not
         reduced to its x-mean.
+    marched : bool, keyword-only
+        When set, ``init`` and the returned f are in the marched shape:
+        ``(3, n)`` on a line, ``(9, h, 1)`` on a force channel and
+        ``(9, h, (nx + 1) // 2)`` on a pressure channel.  Nothing is
+        unfolded or broadcast, and ``init`` is not checked for symmetry,
+        since a marched field has no redundant part.
 
     Returns
     -------
-    (f, steps) : settled populations, a fresh array of the full shape,
-        and the number of kernel steps marched.  The windows are
-        Anderson-accelerated (``_march``); f is the end of the last
-        window, the one whose relative change per step fell below the
-        criterion's tolerance.
+    (f, steps) : settled populations, a fresh array of the full shape
+        (the marched shape with ``marched``), and the number of kernel
+        steps marched.  The windows are Anderson-accelerated
+        (``_march``); f is the end of the last window, the one whose
+        relative change per step fell below the criterion's tolerance.
 
     Raises
     ------
     ValueError
-        When ``init`` has another shape, is not mirror-symmetric on a
-        channel, its columns differ on a force channel, or it is not
-        antisymmetric on a pressure channel.
+        When ``init`` has another shape, or, without ``marched``, is not
+        mirror-symmetric on a channel, its columns differ on a force
+        channel, or it is not antisymmetric on a pressure channel.
     ConvergenceError
         When the criterion's step budget runs out first, or as soon as
         the relative change of a check is not finite (the march diverged).
     """
     if isinstance(exp, D1Q3Experiment):
-        shape = marched = (3, exp.n)
+        shape = part_shape = (3, exp.n)
         closures = boundaries.diffusion_closures()
         rates = relaxation_d1q3(exp.sigma1, exp.sigma2)
 
@@ -375,7 +381,7 @@ def run_to_steady(exp, init=None):
             "the same in every column: the periodic channel keeps the "
             "x-dependence of its start, which the steady-state check does not see"
         )
-        marched = (9, (exp.ny + 1) // 2, (width + 1) // 2)
+        part_shape = (9, (exp.ny + 1) // 2, (width + 1) // 2)
         rates = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
 
         def run_chunk(f, chunk):
@@ -387,22 +393,26 @@ def run_to_steady(exp, init=None):
     else:
         raise TypeError(f"unsupported experiment type {type(exp).__name__}")
 
+    if marched:
+        shape = part_shape  # nothing to check for symmetry or to rebuild
     if init is None:
-        f = np.zeros(marched)
+        f = np.zeros(part_shape)
     else:
         f = np.asarray(init, dtype=np.float64)
         if f.shape != shape:
             raise ValueError(f"init shape {f.shape} does not match {shape}")
-        part = f[tuple(slice(n) for n in marched)]
-        if marched != shape and np.any(f != kernels.unfold(part, ny=exp.ny, nx=width)):
+        part = f[tuple(slice(n) for n in part_shape)]
+        if part_shape != shape and np.any(f != kernels.unfold(part, ny=exp.ny, nx=width)):
             raise ValueError(
                 f"init of a {exp.driving} channel must be mirror-symmetric about the "
-                f"mid-line and {across}: only {marched[1]} rows of {marched[2]} "
+                f"mid-line and {across}: only {part_shape[1]} rows of {part_shape[2]} "
                 "columns are marched"
             )
         f = part.copy()
     f, steps = _march(run_chunk, f, exp.criterion)
-    if marched != shape:
+    if marched:
+        return f, steps
+    if part_shape != shape:
         f = kernels.unfold(f, ny=exp.ny, nx=width)
     return np.broadcast_to(f, shape).copy(), steps
 
@@ -462,12 +472,19 @@ def _sample(exp, product, init=None):
 
     Returns the settled populations and the sample row (sigma_a,
     sigma_b, product, delta_q).  The row keeps the requested product,
-    which the two factors may miss in the last ulp; ``init`` is as in
-    ``run_to_steady``.
+    which the two factors may miss in the last ulp.  ``init`` and the
+    returned populations are in the marched shape (``run_to_steady``
+    with ``marched``); a channel's are unfolded only to read the offset,
+    a pressure channel's to the full grid and a force channel's to one
+    full-height column, which stands for every column.
     """
-    f, _ = run_to_steady(exp, init=init)
+    f, _ = run_to_steady(exp, init=init, marched=True)
+    g, column = f, None
+    if isinstance(exp, D2Q9Experiment):
+        width = exp.nx if exp.driving == "pressure" else 1
+        g, column = kernels.unfold(f, ny=exp.ny, nx=width), width // 2
     sigmas = (getattr(exp, name) for name in exp.factors)
-    return f, (*sigmas, product, wall_offset(exp, f).delta_q)
+    return f, (*sigmas, product, wall_offset(exp, g, column=column).delta_q)
 
 
 def predict_magic(variant, alpha=None, beta=None):

@@ -8,6 +8,8 @@ root, measured in units of the grid spacing.  Superconvergent parameter
 choices put that offset exactly half a spacing outside the node.
 """
 
+import math
+
 import numpy as np
 
 from .errors import FitError, LocalizationError
@@ -107,19 +109,22 @@ def fit_parabola(x, u):
         )
 
     # Center and scale the abscissa before solving; the quadratic root
-    # extraction happens in the same well-conditioned variable.
-    center = x.mean()
-    span = x.max() - x.min()
+    # extraction happens in the same well-conditioned variable.  The
+    # scalars are Python floats: the same IEEE operations in the same
+    # order as on numpy scalars, without their per-operation overhead.
+    n = x.size
+    center = float(x.sum()) / n
+    span = float(x.max()) - float(x.min())
     z = (x - center) / span
-    vand = np.empty((x.size, 3))
+    vand = np.empty((n, 3))
     vand[:, 0] = 1.0
     vand[:, 1] = z
     vand[:, 2] = z * z
     coef_z, *_ = np.linalg.lstsq(vand, u, rcond=None)
-    b0, b1, b2 = coef_z
+    b0, b1, b2 = coef_z.tolist()
 
-    fitted = vand @ coef_z
-    residual = float(np.sqrt(((fitted - u) ** 2).mean()))
+    misfit = vand @ coef_z - u
+    residual = math.sqrt(float((misfit * misfit).sum()) / n)
 
     scale = float(np.abs(u).max())
     if scale == 0.0 or abs(b2) < DEGENERACY_FLOOR * scale:
@@ -128,8 +133,10 @@ def fit_parabola(x, u):
             f"(|a2| scaled {abs(b2):.3e} vs data scale {scale:.3e})"
         )
 
-    # Raw-abscissa coefficients, for reporting.
-    a2 = b2 / (span * span)
+    # Raw-abscissa coefficients, for reporting.  A span below about
+    # 1.6e-162 squares to +0.0, where b2 / +0.0 is the IEEE +-inf.
+    span2 = span * span
+    a2 = b2 / span2 if span2 else b2 * math.inf
     a1 = b1 / span - 2.0 * a2 * center
     a0 = b0 - b1 * center / span + a2 * center * center
 
@@ -137,7 +144,7 @@ def fit_parabola(x, u):
     if disc < 0.0:
         roots = None
     else:
-        sq = np.sqrt(disc)
+        sq = math.sqrt(disc)
         if b1 >= 0.0:
             qq = -0.5 * (b1 + sq)
         else:

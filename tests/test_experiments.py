@@ -596,6 +596,108 @@ def test_force_channel_refuses_a_start_whose_columns_differ():
         run_to_steady(exp, init=noise)
 
 
+# A line, both force drivings (odd and even height) and pressure channels
+# of even and odd width: every shape run_to_steady marches.
+MARCHED_CASES = {
+    "line": D1Q3Experiment(variant="a", **LINE),
+    "split-half": D2Q9Experiment(driving="force-split-half", **CHANNEL),
+    "population": D2Q9Experiment(driving="force-population", nx=6, ny=8),
+    "pressure": D2Q9Experiment(driving="pressure", nx=12, ny=7),
+    "pressure-odd-nx": D2Q9Experiment(driving="pressure", nx=13, ny=8),
+}
+
+
+def symmetric_start(exp, seed):
+    """A full-shape start run_to_steady accepts, built without ``kernels``:
+    noise made mirror-symmetric about the mid-line, and antisymmetric about
+    the mid-column on a pressure channel or one column repeated on a force
+    channel."""
+    if isinstance(exp, D1Q3Experiment):
+        return 1e-6 * np.random.default_rng(seed).normal(size=(3, exp.n))
+    force = exp.driving != "pressure"
+    rng = np.random.default_rng(seed)
+    noise = 1e-6 * rng.normal(size=(9, exp.ny, 1 if force else exp.nx))
+    noise = 0.5 * (noise + noise[MIRROR, ::-1])
+    if force:
+        return np.repeat(noise, exp.nx, axis=2)
+    return 0.5 * (noise - noise[XM, :, ::-1])
+
+
+def marched_part(exp):
+    """Index of the part of a full-shape field that run_to_steady marches:
+    the line, a force channel's lower rows of one column, or a pressure
+    channel's lower rows of its west columns."""
+    if isinstance(exp, D1Q3Experiment):
+        return np.s_[:, :]
+    width = exp.nx if exp.driving == "pressure" else 1
+    return np.s_[:, : (exp.ny + 1) // 2, : (width + 1) // 2]
+
+
+def assert_symmetric(exp, f):
+    """f is what a channel's marched part stands for: mirror-symmetric, and
+    antisymmetric about the mid-column or the same in every column."""
+    if isinstance(exp, D2Q9Experiment):
+        assert np.array_equal(f, f[MIRROR, ::-1])
+        if exp.driving == "pressure":
+            # An odd grid's mid-column is its own image; its populations
+            # that stay on it are marched, not rebuilt, so they are left out.
+            west = np.s_[..., : exp.nx // 2]
+            assert np.array_equal(f[west], -f[XM, :, ::-1][west])
+        else:
+            assert np.all(f == f[..., :1])
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["rest", "warm"])
+@pytest.mark.parametrize("name", sorted(MARCHED_CASES))
+def test_marched_run_is_the_marched_part_of_the_full_run_bitwise(name, warm):
+    exp = MARCHED_CASES[name]
+    start = symmetric_start(exp, seed=5) if warm else None
+    full, full_steps = run_to_steady(exp, init=start)
+    init = None if start is None else start[marched_part(exp)]
+    f, steps = run_to_steady(exp, init=init, marched=True)
+    part = full[marched_part(exp)]
+    assert f.shape == part.shape
+    assert steps == full_steps
+    assert np.array_equal(f, part)
+    assert_symmetric(exp, full)
+
+
+@pytest.mark.parametrize("name", sorted(MARCHED_CASES))
+def test_marched_run_refuses_a_start_of_another_shape(name):
+    # The full shape where the marched one is wanted, and the other way
+    # round; the line's two shapes are one, so it gets a longer line.
+    exp = MARCHED_CASES[name]
+    full = symmetric_start(exp, seed=6)
+    part = full[marched_part(exp)]
+    wrong = np.zeros((3, exp.n + 1)) if isinstance(exp, D1Q3Experiment) else full
+    with pytest.raises(ValueError) as excinfo:
+        run_to_steady(exp, init=wrong, marched=True)
+    assert str(excinfo.value) == f"init shape {wrong.shape} does not match {part.shape}"
+    if isinstance(exp, D2Q9Experiment):
+        with pytest.raises(ValueError) as excinfo:
+            run_to_steady(exp, init=part)
+        assert str(excinfo.value) == f"init shape {part.shape} does not match {full.shape}"
+
+
+def full_shape_sample(exp, product, init=None):
+    """``experiments._sample`` as it was before it kept marched shapes: full
+    states in and out of run_to_steady, the offset read from the full grid."""
+    f, _ = run_to_steady(exp, init=init)
+    sigmas = (getattr(exp, name) for name in exp.factors)
+    return f, (*sigmas, product, wall_offset(exp, f).delta_q)
+
+
+@pytest.mark.parametrize("name", sorted(MARCHED_CASES))
+def test_searches_on_marched_states_sample_as_on_full_ones(name, monkeypatch):
+    exp = MARCHED_CASES[name]
+    magic = experiments.predicted_product(exp)
+    products = [0.7 * magic, magic, 1.4 * magic]
+    searched = repr((find_magic_root(exp), sweep_product(exp, products)))
+    monkeypatch.setattr(experiments, "_sample", full_shape_sample)
+    # repr prints every float exactly, the root and every sample row
+    assert searched == repr((find_magic_root(exp), sweep_product(exp, products)))
+
+
 _PLANE_SCHEME = ("sigma5", "sigma8", "alpha", "beta", "s_bulk")
 
 # The experiment each wave measurement reads its scheme from.
@@ -814,14 +916,14 @@ def kernel_marches(patch):
 
 @functools.cache
 def logged_root_search(name):
-    """One benchmark search, with every march's experiment, state and steps,
-    the set of operator shapes its kernel marches used and their total of
-    node updates (steps times marched nodes)."""
+    """One benchmark search, with every march's experiment, state, steps and
+    keywords, the set of operator shapes its kernel marches used and their
+    total of node updates (steps times marched nodes)."""
     marches = []
 
-    def logged(exp, init=None):
-        f, steps = run_to_steady(exp, init=init)
-        marches.append((exp, f, steps))
+    def logged(exp, init=None, **kwargs):
+        f, steps = run_to_steady(exp, init=init, **kwargs)
+        marches.append((exp, f, steps, kwargs))
         return f, steps
 
     exp = ROOT_SEARCHES[name]
@@ -842,7 +944,9 @@ def root_search(request):
 def test_root_searches_march_few_steps():
     # 16,300 kernel steps with the plain window loop; 5,900 accelerated.
     total = sum(
-        steps for name in ROOT_SEARCHES for _, _, steps in logged_root_search(name)[2]
+        steps
+        for name in ROOT_SEARCHES
+        for _, _, steps, _ in logged_root_search(name)[2]
     )
     assert total <= 8000
 
@@ -870,8 +974,8 @@ def test_root_searches_multiply_only_the_operator_rows_they_read():
 
 @pytest.mark.parametrize("name", sorted(ROOT_SEARCHES))
 def test_warm_start_from_a_settled_search_state_converges_at_once(name):
-    for exp, f, _ in logged_root_search(name)[2]:
-        g, steps = run_to_steady(exp, init=f)
+    for exp, f, _, kwargs in logged_root_search(name)[2]:
+        g, steps = run_to_steady(exp, init=f, **kwargs)
         assert steps == exp.criterion.check_every
         assert np.max(np.abs(g - f)) <= 1e-12 * np.max(np.abs(f))
 

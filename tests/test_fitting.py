@@ -129,6 +129,104 @@ def test_fit_matches_the_stacked_vandermonde_fit_bitwise(
     assert repr((fit.coefficients, fit.residual, fit.roots)) == repr(stacked_fit(x, u))
 
 
+def pre_change_fit(x, u):
+    """``fit_parabola`` as it was before its scalar arithmetic moved to
+    Python floats: numpy scalars, ``mean`` and ``np.sqrt``."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    u = np.asarray(u, dtype=np.float64).ravel()
+    if x.shape != u.shape:
+        raise FitError(f"abscissae and values differ in length: {x.size} vs {u.size}")
+    distinct = np.unique(x).size
+    if distinct < 3:
+        raise FitError(f"parabola fit needs at least 3 distinct abscissae, got {distinct}")
+    center = x.mean()
+    span = x.max() - x.min()
+    z = (x - center) / span
+    vand = np.empty((x.size, 3))
+    vand[:, 0] = 1.0
+    vand[:, 1] = z
+    vand[:, 2] = z * z
+    coef_z, *_ = np.linalg.lstsq(vand, u, rcond=None)
+    b0, b1, b2 = coef_z
+    residual = float(np.sqrt(((vand @ coef_z - u) ** 2).mean()))
+    scale = float(np.abs(u).max())
+    if scale == 0.0 or abs(b2) < DEGENERACY_FLOOR * scale:
+        raise FitError(
+            "degenerate parabola fit: no curvature "
+            f"(|a2| scaled {abs(b2):.3e} vs data scale {scale:.3e})"
+        )
+    a2 = b2 / (span * span)
+    a1 = b1 / span - 2.0 * a2 * center
+    a0 = b0 - b1 * center / span + a2 * center * center
+    disc = b1 * b1 - 4.0 * b2 * b0
+    roots = None
+    if disc >= 0.0:
+        sq = np.sqrt(disc)
+        qq = -0.5 * (b1 + sq) if b1 >= 0.0 else -0.5 * (b1 - sq)
+        z1, z2 = (0.0, 0.0) if qq == 0.0 else (qq / b2, b0 / qq)
+        roots = tuple(sorted((center + span * z1, center + span * z2)))
+    return ParabolaFit((a0, a1, a2), residual, roots)
+
+
+def fit_outcome(fit, x, u):
+    """The repr of a fit (every float exactly), or the error it raised."""
+    try:
+        return repr(fit(x, u))
+    except FitError as error:
+        return f"FitError: {error}"
+
+
+@given(
+    gaps=st.lists(
+        st.one_of(st.just(0.0), st.floats(0.05, 4.0)), min_size=2, max_size=63
+    ),
+    start=st.floats(-50.0, 50.0),
+    curvature=st.floats(0.01, 10.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    vertex=st.floats(-30.0, 30.0),
+    level=st.floats(-5.0, 5.0),
+    noise=st.sampled_from([0.0, 1e-9, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_on_uneven_abscissae_matches_the_pre_change_fit(
+    gaps, start, curvature, sign, vertex, level, noise, seed
+):
+    # Sorted, unevenly spaced and possibly repeated abscissae, 3 to 64 of
+    # them; a level of the curvature's sign leaves the parabola no roots.
+    x = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    u = sign * curvature * (x - vertex) ** 2 + level
+    u += noise * np.random.default_rng(seed).standard_normal(x.size)
+    assert fit_outcome(fit_parabola, x, u) == fit_outcome(pre_change_fit, x, u)
+
+
+@pytest.mark.parametrize("x, u, expected", [
+    ([0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0],
+     "FitError: parabola fit needs at least 3 distinct abscissae, got 2"),
+    ([0.0, 1.0, 2.0, 4.0], [1.0, 3.0, 5.0, 9.0],
+     "FitError: degenerate parabola fit: no curvature "
+     "(|a2| scaled 2.665e-15 vs data scale 9.000e+00)"),
+    ([0.0, 1.0, 2.5, 4.0], [0.0, 0.0, 0.0, 0.0],
+     "FitError: degenerate parabola fit: no curvature "
+     "(|a2| scaled 0.000e+00 vs data scale 0.000e+00)"),
+    ([-1.0, 0.5, 2.0, 2.25], [2.0, 1.25, 5.0, 6.0625], "roots=None)"),
+], ids=["two-distinct", "linear", "zero", "no-real-root"])
+def test_fit_refuses_as_the_pre_change_fit_does(x, u, expected):
+    outcome = fit_outcome(fit_parabola, np.array(x), np.array(u))
+    assert outcome == fit_outcome(pre_change_fit, np.array(x), np.array(u))
+    assert outcome.endswith(expected)
+
+
+def test_fit_over_a_span_too_small_to_square_keeps_the_ieee_curvature():
+    # 2e-170 squares to +0.0: the raw curvature is b2 / +0.0, inf, as the
+    # numpy scalars gave it (with a warning), and the roots stay finite.
+    x = np.array([0.0, 1e-170, 2e-170])
+    u = np.array([-1.0, 0.0, 1.5])
+    with np.errstate(all="ignore"):
+        expected = repr(pre_change_fit(x, u))
+    assert repr(fit_parabola(x, u)) == expected
+    assert fit_parabola(x, u).coefficients[2] == np.inf
+
+
 def test_degeneracy_floor_is_strict():
     assert DEGENERACY_FLOOR == 1e-14
 
