@@ -63,6 +63,15 @@ DRIVING_TAGS = ("force-split-half", "force-population", "pressure")
 # Window-residual differences a march mixes into its next start (see _march).
 ANDERSON_DEPTH = 2
 
+# Unknowns up to which a line's or a force channel's steady state is solved
+# directly for a root search or a sweep to start from (see _steady_state).
+# 99 is the largest system OpenBLAS factors on one thread (m n < 10,000).
+# On a 2-CPU host with two BLAS threads, a 100-unknown solve stalled for
+# about 100 ms in 11 of 15 trials, against the 1 to 2 ms of marching a
+# direct start saves; up to 99, direct starts made a search (line n = 32,
+# force columns of 36 to 99 unknowns) 15 to 33 % faster.
+DIRECT_UNKNOWNS = 99
+
 
 @dataclass(frozen=True)
 class SteadyStateCriterion:
@@ -307,6 +316,32 @@ def _march(run_chunk, f, criterion):
     )
 
 
+def _scheme(exp):
+    """What ``run_to_steady`` marches: the full shape, the marched shape,
+    the kernel's run and map functions, and their arguments after the field
+    and the step count, positional and keyword."""
+    if isinstance(exp, D1Q3Experiment):
+        shape = (3, exp.n)
+        args = (
+            boundaries.diffusion_closures(), relaxation_d1q3(exp.sigma1, exp.sigma2),
+            exp.variant, exp.zeta, exp.source,
+        )
+        return shape, shape, kernels.d1q3_run, kernels.d1q3_map, args, {}
+    if isinstance(exp, D2Q9Experiment):
+        closures, driving = _channel(exp)
+        width = exp.nx if driving is None else 1  # one column stands for all
+        args = (
+            closures, relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk),
+            exp.alpha, exp.beta, driving, exp.fx,
+        )
+        part_shape = (9, (exp.ny + 1) // 2, (width + 1) // 2)
+        return (
+            (9, exp.ny, exp.nx), part_shape, kernels.d2q9_run, kernels.d2q9_map,
+            args, dict(ny=exp.ny, nx=width),
+        )
+    raise TypeError(f"unsupported experiment type {type(exp).__name__}")
+
+
 def run_to_steady(exp, init=None, *, marched=False):
     """March an experiment to steady state from rest (or a warm start).
 
@@ -363,35 +398,10 @@ def run_to_steady(exp, init=None, *, marched=False):
         When the criterion's step budget runs out first, or as soon as
         the relative change of a check is not finite (the march diverged).
     """
-    if isinstance(exp, D1Q3Experiment):
-        shape = part_shape = (3, exp.n)
-        closures = boundaries.diffusion_closures()
-        rates = relaxation_d1q3(exp.sigma1, exp.sigma2)
+    shape, part_shape, run, _, args, kw = _scheme(exp)
 
-        def run_chunk(f, chunk):
-            return kernels.d1q3_run(
-                f, chunk, closures, rates, exp.variant, exp.zeta, exp.source
-            )
-
-    elif isinstance(exp, D2Q9Experiment):
-        shape = (9, exp.ny, exp.nx)
-        closures, driving = _channel(exp)
-        width = exp.nx if driving is None else 1  # one column stands for all
-        across = "antisymmetric about the mid-column" if driving is None else (
-            "the same in every column: the periodic channel keeps the "
-            "x-dependence of its start, which the steady-state check does not see"
-        )
-        part_shape = (9, (exp.ny + 1) // 2, (width + 1) // 2)
-        rates = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
-
-        def run_chunk(f, chunk):
-            return kernels.d2q9_run(
-                f, chunk, closures, rates, exp.alpha, exp.beta, driving, exp.fx,
-                ny=exp.ny, nx=width,
-            )
-
-    else:
-        raise TypeError(f"unsupported experiment type {type(exp).__name__}")
+    def run_chunk(f, chunk):
+        return run(f, chunk, *args, **kw)
 
     if marched:
         shape = part_shape  # nothing to check for symmetry or to rebuild
@@ -402,7 +412,12 @@ def run_to_steady(exp, init=None, *, marched=False):
         if f.shape != shape:
             raise ValueError(f"init shape {f.shape} does not match {shape}")
         part = f[tuple(slice(n) for n in part_shape)]
-        if part_shape != shape and np.any(f != kernels.unfold(part, ny=exp.ny, nx=width)):
+        if part_shape != shape and np.any(f != kernels.unfold(part, **kw)):
+            across = (
+                "antisymmetric about the mid-column" if exp.driving == "pressure" else
+                "the same in every column: the periodic channel keeps the "
+                "x-dependence of its start, which the steady-state check does not see"
+            )
             raise ValueError(
                 f"init of a {exp.driving} channel must be mirror-symmetric about the "
                 f"mid-line and {across}: only {part_shape[1]} rows of {part_shape[2]} "
@@ -413,7 +428,7 @@ def run_to_steady(exp, init=None, *, marched=False):
     if marched:
         return f, steps
     if part_shape != shape:
-        f = kernels.unfold(f, ny=exp.ny, nx=width)
+        f = kernels.unfold(f, **kw)
     return np.broadcast_to(f, shape).copy(), steps
 
 
@@ -474,17 +489,50 @@ def _sample(exp, product, init=None):
     sigma_b, product, delta_q).  The row keeps the requested product,
     which the two factors may miss in the last ulp.  ``init`` and the
     returned populations are in the marched shape (``run_to_steady``
-    with ``marched``); a channel's are unfolded only to read the offset,
-    a pressure channel's to the full grid and a force channel's to one
-    full-height column, which stands for every column.
+    with ``marched``).
     """
     f, _ = run_to_steady(exp, init=init, marched=True)
-    g, column = f, None
+    sigmas = (getattr(exp, name) for name in exp.factors)
+    return f, (*sigmas, product, _offset(exp, f))
+
+
+def _offset(exp, f):
+    """delta_q of a state in the marched shape.  A channel's is unfolded
+    only to read it, a pressure channel's to the full grid and a force
+    channel's to one full-height column, which stands for every column."""
+    column = None
     if isinstance(exp, D2Q9Experiment):
         width = exp.nx if exp.driving == "pressure" else 1
-        g, column = kernels.unfold(f, ny=exp.ny, nx=width), width // 2
-    sigmas = (getattr(exp, name) for name in exp.factors)
-    return f, (*sigmas, product, wall_offset(exp, g, column=column).delta_q)
+        f, column = kernels.unfold(f, ny=exp.ny, nx=width), width // 2
+    return wall_offset(exp, f, column=column).delta_q
+
+
+def _steady_state(exp):
+    """The steady state of a line or a force channel in the marched shape,
+    solved directly, or None on a pressure channel or above
+    ``DIRECT_UNKNOWNS`` unknowns.
+
+    One kernel step is ``g -> A g + r`` (``kernels.d1q3_map`` /
+    ``d2q9_map``), so the steady state solves ``(I - A) g = r``.  A force
+    channel conserves mass, so there ``I - A`` is singular: its left null
+    vector weighs each marched value by how often the unfolded column holds
+    it (``kernels.unfold_weights``).  The first equation, implied by the
+    others, gives way to the invariant a march from rest keeps: the
+    unfolded column's mass is zero.  The mid-row of an odd channel holds
+    values the kernel reads from their mirror images instead; they are
+    set to those, as in the marched part of a full-shape state.
+    """
+    _, shape, _, step_map, args, kw = _scheme(exp)
+    size = math.prod(shape)
+    if exp.tag == "pressure" or size > DIRECT_UNKNOWNS:
+        return None
+    a, r = step_map(shape, *args, **kw)
+    a = np.subtract(np.eye(size), a, out=a)
+    if isinstance(exp, D1Q3Experiment):
+        return np.linalg.solve(a, r).reshape(shape)
+    a[0], r[0] = kernels.unfold_weights(shape, **kw), 0.0
+    g = np.linalg.solve(a, r).reshape(shape)
+    return kernels.unfold(g, **kw)[:, : shape[1]]
 
 
 def predict_magic(variant, alpha=None, beta=None):
@@ -531,26 +579,32 @@ def predicted_product(exp):
 def sweep_product(exp, products, split_check=True):
     """Measure delta_q over a list of sigma products.
 
-    One converged run per sample, warm-starting each run from the
-    previous settled state (the steady state is unique, so this only
-    saves steps).  With ``split_check`` the median product is re-run
-    with its two sigma factors swapped, so the returned samples carry at
-    least two distinct factorizations of one product.
+    One converged run per sample.  Each starts by ``_start``'s rule with
+    the previous settled state alone: a line or a force channel of at most
+    ``DIRECT_UNKNOWNS`` unknowns at its directly solved steady state, and
+    settles in one window; any other run at the previous settled state,
+    the first from rest.  The steady state is unique, so a start only
+    saves steps.  With ``split_check`` the median product is re-run with
+    its two sigma factors swapped, so the returned samples carry at least
+    two distinct factorizations of one product.
     """
     products = sorted(float(p) for p in products)
     if not products:
         raise ConfigurationError("sweep needs at least one product")
     samples = []
-    warm = None
+    warm = {}
     for p in products:
-        warm, row = _sample(_with_product(exp, p), p, init=warm)
+        exp_p = _with_product(exp, p)
+        f, row = _sample(exp_p, p, init=_start(exp_p, warm, p))
+        warm = {p: f}
         samples.append(row)
 
     if split_check:
         median = _with_product(exp, products[len(products) // 2])
         a, b = median.factors
         swapped = replace(median, **{a: getattr(median, b), b: getattr(median, a)})
-        samples.append(_sample(swapped, swapped.product, init=warm)[1])
+        p = swapped.product
+        samples.append(_sample(swapped, p, init=_start(swapped, warm, p))[1])
 
     samples.sort(key=lambda row: (row[2], row[0]))
     return MagicSweep(
@@ -561,24 +615,28 @@ def sweep_product(exp, products, split_check=True):
     )
 
 
-def _interpolated_start(settled, p):
-    """Starting populations for a march at product p.
+def _start(exp, settled, p):
+    """Starting populations for a march of ``exp``, at product p.
 
-    The linear interpolation in the product of the settled states at the
-    two products in ``settled`` nearest p (an extrapolation when both lie
-    on one side of it).  The steady state is smooth in the product, so
-    for a product step h the start is off by O(h^2), against O(h) for
-    the nearest state alone.  None, a start from rest, while nothing has
-    settled.
+    ``settled`` maps products to settled states of the same family of
+    experiments.  With two or more of them, the start is the linear
+    interpolation in the product of the states at the two products nearest
+    p (an extrapolation when both lie on one side of it): the steady state
+    is smooth in the product, so for a product step h the start is off by
+    O(h^2), against O(h) for the nearest state alone.  With fewer, it is
+    the directly solved steady state (``_steady_state``) where that is
+    admitted, else the one settled state, else None, a start from rest.
+    Every start is only a start: the march confirms it, and a direct one
+    settles in one window.
     """
-    nearest = sorted(settled, key=lambda q: abs(q - p))[:2]
-    if not nearest:
-        return None
-    if len(nearest) == 1:
-        return settled[nearest[0]]
-    p0, p1 = nearest
-    f0 = settled[p0]
-    return f0 + (p - p0) / (p1 - p0) * (settled[p1] - f0)
+    if len(settled) >= 2:
+        p0, p1 = sorted(settled, key=lambda q: abs(q - p))[:2]
+        f0 = settled[p0]
+        return f0 + (p - p0) / (p1 - p0) * (settled[p1] - f0)
+    direct = _steady_state(exp)
+    if direct is not None or not settled:
+        return direct
+    return next(iter(settled.values()))
 
 
 def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
@@ -589,9 +647,13 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
     and secant steps inside the sign-change bracket, with a bisection
     step whenever they would not shrink it fast enough (R. P. Brent,
     Algorithms for Minimization without Derivatives, 1973, ch. 4).  Each
-    evaluation is a full march to steady state, warm-started from the
-    linear interpolation of the settled states at the two retained
-    products nearest it.  The search stops once the two products on
+    evaluation is a full march to steady state, started by ``_start``'s
+    rule: from the linear interpolation of the settled states at the two
+    retained products nearest it; before two have settled, from the
+    directly solved steady state of a line or a force channel of at most
+    ``DIRECT_UNKNOWNS`` unknowns, else from rest or the one settled state.
+    On a line or a force channel every evaluation then settles in one
+    window: the interpolation is exact there to rounding.  The search stops once the two products on
     either side of the sign change are at most ``product_tol`` apart,
     the guarantee bisection gives, and returns a MagicSweep whose
     ``root`` is the one of the two with the smaller |delta_q - 1/2| and
@@ -628,7 +690,7 @@ def find_magic_root(exp, bracket=None, product_tol=1e-5, max_evals=40):
 
     def objective(p):
         exp_p = _with_product(exp, p)
-        settled[p], row = _sample(exp_p, p, init=_interpolated_start(settled, p))
+        settled[p], row = _sample(exp_p, p, init=_start(exp_p, settled, p))
         samples.append(row)
         return row[3] - 0.5
 

@@ -30,6 +30,11 @@ physics stays that of ``lattice.stream``.  ``unfold`` rebuilds the grid.
 Every plane march goes through ``_mirror_map``: on a full field the fold
 is the identity and the map is ``_stream_map``'s.
 
+``d1q3_map`` and ``d2q9_map`` export a step as a dense affine map ``(A,
+r)``, scattered from the same source table and operator, for a direct
+steady solve; ``unfold_weights`` gives the mass of an unfolded field as a
+weighted sum of the marched values.
+
 Both lattices share one time loop, ``_march``, with the gather bound
 once before it.  The loop gathers through its own writable copy of
 ``idx`` (``take`` would copy a read-only index on every step) and
@@ -53,7 +58,7 @@ from .boundaries import PRESSURE_ABB, BoundaryClosure
 from .lattice import D1Q3, D2Q9, build_d1q3_basis, build_d2q9_basis, stream
 from .lattice import from_moments, mirror_fold, to_moments
 
-__all__ = ["d1q3_run", "d2q9_run", "unfold"]
+__all__ = ["d1q3_map", "d1q3_run", "d2q9_map", "d2q9_run", "unfold", "unfold_weights"]
 
 # Body-force drivings of the plane kernel, named as the experiments name them.
 _FORCINGS = (None, "force-split-half", "force-population")
@@ -205,6 +210,53 @@ def unfold(f, ny=None, nx=None):
     return np.negative(g, out=g, where=negated).reshape(full)
 
 
+def _line(shape, closures, rates, variant, zeta, source):
+    """The step operator and gather index of ``d1q3_run`` on a ``shape`` field."""
+    shape = tuple(shape)
+    sources, idx = _sources(D1Q3.q, _stream_map, D1Q3, shape, closures, None, None)
+    return _line_operator(variant, float(zeta), rates, float(source), sources), idx
+
+
+def _plane(shape, closures, rates, alpha, beta, driving, fx, ny, nx):
+    """The step operator and gather index of ``d2q9_run`` on a ``shape`` field."""
+    alpha, beta = float(alpha), float(beta)
+    shape = tuple(shape)
+    ny, nx = int(ny or shape[1]), int(nx or shape[2])
+    if shape[2] < nx:
+        faces = {c.face: (c.kind, c.scalar) for c in closures}
+        kind, scalar = faces.get("west", (None, 0.0))
+        opposite = kind == PRESSURE_ABB and faces.get("east") == (kind, -scalar)
+        if driving is not None or not opposite:
+            raise ValueError(
+                "a field of west columns needs pressure-abb x faces with opposite "
+                "scalars and no body force"
+            )
+    sources, idx = _sources(D2Q9.q, _mirror_map, shape, ny, nx, closures, alpha, beta)
+    return _plane_operator(rates, alpha, beta, driving, float(fx), sources), idx
+
+
+def _dense(shape, operator, idx):
+    """``(A, r)`` of the step that gathers ``operator @ [f; 1]`` through
+    ``idx``: output i reads source s at node n, ``s, n = divmod(idx[i], N)``,
+    so ``A[i, j*N + n] = operator[s, j]`` and ``r[i] = operator[s, q]``."""
+    q, size = shape[0], int(np.prod(shape))
+    n = size // q
+    s, node = np.divmod(idx, n)
+    a = np.zeros((size, size))
+    a[np.arange(size)[:, None], np.arange(q) * n + node[:, None]] = operator[s, :q]
+    r = operator[s, q] if operator.shape[1] > q else np.zeros(size)
+    return a, r
+
+
+def unfold_weights(shape, ny=None, nx=None):
+    """The weights w with ``unfold(f, ny, nx).sum() == w @ f.ravel()`` in
+    exact arithmetic: how often, and with which sign, ``unfold`` reads each
+    value of a ``shape`` field."""
+    fold, negated = _fold(tuple(shape), ny or shape[1], nx or shape[2])
+    signs = np.where(negated, -1.0, 1.0)
+    return np.bincount(fold, signs, minlength=int(np.prod(shape)))
+
+
 def _step_count(steps):
     """``steps`` as an int, refused unless it is a whole number >= 0."""
     try:
@@ -256,9 +308,7 @@ def d1q3_run(f, steps, closures, rates, variant, zeta, source=0.0, *, observe=No
     states, valid only during the call: the observer must neither keep
     nor modify it.
     """
-    shape = np.shape(f)
-    sources, idx = _sources(D1Q3.q, _stream_map, D1Q3, shape, closures, None, None)
-    operator = _line_operator(variant, float(zeta), rates, float(source), sources)
+    operator, idx = _line(np.shape(f), closures, rates, variant, zeta, source)
     return _march(f, steps, operator, idx, observe)
 
 
@@ -284,18 +334,23 @@ def d2q9_run(
     there is no body force.  ``steps`` is checked and ``observe`` is
     called as in ``d1q3_run``, with ``(m, 9, rows, cols)`` blocks.
     """
-    alpha, beta = float(alpha), float(beta)
-    shape = np.shape(f)
-    ny, nx = int(ny or shape[1]), int(nx or shape[2])
-    if shape[2] < nx:
-        faces = {c.face: (c.kind, c.scalar) for c in closures}
-        kind, scalar = faces.get("west", (None, 0.0))
-        opposite = kind == PRESSURE_ABB and faces.get("east") == (kind, -scalar)
-        if driving is not None or not opposite:
-            raise ValueError(
-                "a field of west columns needs pressure-abb x faces with opposite "
-                "scalars and no body force"
-            )
-    sources, idx = _sources(D2Q9.q, _mirror_map, shape, ny, nx, closures, alpha, beta)
-    operator = _plane_operator(rates, alpha, beta, driving, float(fx), sources)
+    operator, idx = _plane(
+        np.shape(f), closures, rates, alpha, beta, driving, fx, ny, nx
+    )
     return _march(f, steps, operator, idx, observe)
+
+
+def d1q3_map(shape, closures, rates, variant, zeta, source=0.0):
+    """``(A, r)``, dense, with one ``d1q3_run`` step of a ``shape`` field
+    equal to ``A @ f.ravel() + r``; the arguments are ``d1q3_run``'s."""
+    return _dense(shape, *_line(shape, closures, rates, variant, zeta, source))
+
+
+def d2q9_map(
+    shape, closures, rates, alpha, beta, driving=None, fx=0.0, *, ny=None, nx=None
+):
+    """``(A, r)``, dense, with one ``d2q9_run`` step of a ``shape`` field
+    equal to ``A @ f.ravel() + r``; the arguments are ``d2q9_run``'s."""
+    return _dense(
+        shape, *_plane(shape, closures, rates, alpha, beta, driving, fx, ny, nx)
+    )

@@ -681,7 +681,11 @@ def test_marched_run_refuses_a_start_of_another_shape(name):
 
 def full_shape_sample(exp, product, init=None):
     """``experiments._sample`` as it was before it kept marched shapes: full
-    states in and out of run_to_steady, the offset read from the full grid."""
+    states in and out of run_to_steady, the offset read from the full grid.
+    A force channel's direct start comes in the marched shape, one column
+    of the lower rows, and is unfolded to the full grid first."""
+    if isinstance(exp, D2Q9Experiment) and init is not None and init.shape[2] == 1:
+        init = np.repeat(kernels.unfold(init, ny=exp.ny), exp.nx, axis=2)
     f, _ = run_to_steady(exp, init=init)
     sigmas = (getattr(exp, name) for name in exp.factors)
     return f, (*sigmas, product, wall_offset(exp, f).delta_q)
@@ -696,6 +700,62 @@ def test_searches_on_marched_states_sample_as_on_full_ones(name, monkeypatch):
     monkeypatch.setattr(experiments, "_sample", full_shape_sample)
     # repr prints every float exactly, the root and every sample row
     assert searched == repr((find_magic_root(exp), sweep_product(exp, products)))
+
+
+# The cases of the direct steady solve, at their closed-form products.
+DIRECT_CASES = {
+    "line-a": D1Q3Experiment(variant="a", n=32),
+    "line-b": D1Q3Experiment(variant="b", n=32),
+    "split-half": D2Q9Experiment(driving="force-split-half", nx=100, ny=7),
+    "population": D2Q9Experiment(driving="force-population", nx=20, ny=11),
+}
+
+# Largest population gap between the direct state and the march from rest,
+# over the field's scale: 7.8e-14 measured (line a), with a 10x margin.
+DIRECT_POPULATION_GAP = 8e-13
+
+# Largest gap of a force channel's two unfolded masses, in units of the
+# rounding of the mass sum: 57 measured (population), with a 10x margin.
+DIRECT_MASS_GAP = 600.0
+
+
+def at_magic(exp):
+    return experiments._with_product(exp, experiments.predicted_product(exp))
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_CASES))
+def test_direct_state_is_the_march_from_rest(name):
+    exp = at_magic(DIRECT_CASES[name])
+    g = experiments._steady_state(exp)
+    f, _ = run_to_steady(exp, marched=True)
+    assert g.shape == f.shape
+    direct = experiments._offset(exp, g)
+    assert abs(direct - 0.5) <= 1e-12
+    assert abs(direct - experiments._offset(exp, f)) <= 1e-12
+    scale = np.max(np.abs(f))
+    assert np.max(np.abs(g - f)) <= DIRECT_POPULATION_GAP * scale
+    if isinstance(exp, D2Q9Experiment):
+        # The march from rest keeps the unfolded column's mass at zero.
+        full = kernels.unfold(f, ny=exp.ny)
+        mass = [kernels.unfold(h, ny=exp.ny).sum() for h in (g, f)]
+        rounding = np.finfo(float).eps * np.abs(full).sum()
+        assert abs(mass[0] - mass[1]) <= DIRECT_MASS_GAP * rounding
+
+
+def test_direct_state_is_admitted_on_lines_and_force_channels_up_to_the_cap():
+    assert experiments.DIRECT_UNKNOWNS == 99
+    cap = experiments.DIRECT_UNKNOWNS
+    admitted = [
+        D1Q3Experiment(n=cap // 3),
+        D2Q9Experiment(driving="force-population", ny=2 * (cap // 9) - 1),
+    ]
+    refused = [
+        D1Q3Experiment(n=cap // 3 + 1),
+        D2Q9Experiment(driving="force-split-half", ny=2 * (cap // 9) + 1),
+        D2Q9Experiment(driving="pressure", nx=6, ny=5),
+    ]
+    assert all(experiments._steady_state(exp) is not None for exp in admitted)
+    assert all(experiments._steady_state(exp) is None for exp in refused)
 
 
 _PLANE_SCHEME = ("sigma5", "sigma8", "alpha", "beta", "s_bulk")
@@ -885,9 +945,12 @@ def test_root_find_lists_every_refusal():
 
 
 def test_root_find_respects_evaluation_budget():
+    # With exact starts the search lands on delta_q - 1/2 = 0 at its fifth
+    # evaluation (it took six when its first two marched from rest and
+    # from the nearest state), so a budget of four runs out first.
     exp = D1Q3Experiment(variant="a", sigma1=1.0, sigma2=0.125, **LINE)
     with pytest.raises(LocalizationError, match="budget"):
-        find_magic_root(exp, bracket=(0.05, 0.3), product_tol=1e-9, max_evals=5)
+        find_magic_root(exp, bracket=(0.05, 0.3), product_tol=1e-9, max_evals=4)
 
 
 # The benchmark's four root searches: the factor held fixed at 2, the
@@ -917,8 +980,9 @@ def kernel_marches(patch):
 @functools.cache
 def logged_root_search(name):
     """One benchmark search, with every march's experiment, state, steps and
-    keywords, the set of operator shapes its kernel marches used and their
-    total of node updates (steps times marched nodes)."""
+    keywords, the set of operator shapes its kernel marches used, their
+    total of node updates (steps times marched nodes) and the steps of each
+    kernel march (one per check window)."""
     marches = []
 
     def logged(exp, init=None, **kwargs):
@@ -932,7 +996,8 @@ def logged_root_search(name):
         kernel = kernel_marches(patch)
         sweep = find_magic_root(exp, product_tol=PRODUCT_TOL)
     shapes = {shape for shape, _, _ in kernel}
-    return exp, sweep, marches, shapes, sum(steps * nodes for _, steps, nodes in kernel)
+    updates = sum(steps * nodes for _, steps, nodes in kernel)
+    return exp, sweep, marches, shapes, updates, [steps for _, steps, _ in kernel]
 
 
 @pytest.fixture(scope="module", params=sorted(ROOT_SEARCHES))
@@ -942,13 +1007,54 @@ def root_search(request):
 
 
 def test_root_searches_march_few_steps():
-    # 16,300 kernel steps with the plain window loop; 5,900 accelerated.
+    # 16,300 kernel steps with the plain window loop; 5,900 accelerated;
+    # 4,000 with the line and force searches started at their steady states.
     total = sum(
         steps
         for name in ROOT_SEARCHES
         for _, _, steps, _ in logged_root_search(name)[2]
     )
     assert total <= 8000
+
+
+def test_line_and_force_evaluations_march_one_window_each():
+    # The first two evaluations start at the directly solved steady state,
+    # the others at the interpolation of two settled states, which is exact
+    # to rounding there: each settles in its first window.  The pressure
+    # channel is never solved directly and marches 25 windows in all.
+    for name in ROOT_SEARCHES:
+        exp, sweep, _, _, _, windows = logged_root_search(name)
+        window = exp.criterion.check_every
+        if name == "pressure":
+            assert windows == [window] * 25
+        else:
+            assert windows == [window] * len(sweep.samples)
+
+
+def test_pressure_search_is_never_solved_directly(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a pressure channel was solved directly")
+
+    monkeypatch.setattr(kernels, "d2q9_map", refused)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    exp = ROOT_SEARCHES["pressure"]
+    assert repr(find_magic_root(exp)) == repr(logged_root_search("pressure")[1])
+
+
+@pytest.mark.parametrize("name", ["line-a", "split-half", "pressure"])
+def test_sweep_starts_each_line_and_force_sample_at_its_steady_state(name, monkeypatch):
+    # One settled state at a time: a line or force sample, the swapped
+    # pair included, starts at its directly solved steady state and
+    # settles in one window; a pressure sample starts at the previous one.
+    exp = ROOT_SEARCHES[name]
+    magic = experiments.predicted_product(exp)
+    windows = kernel_marches(monkeypatch)
+    sweep = sweep_product(exp, [0.5 * magic, magic, 2.0 * magic])
+    assert len(sweep.samples) == 4
+    if name == "pressure":
+        assert len(windows) > len(sweep.samples)
+    else:
+        assert [steps for _, steps, _ in windows] == [exp.criterion.check_every] * 4
 
 
 def test_root_searches_update_few_nodes():

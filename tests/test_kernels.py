@@ -363,6 +363,74 @@ def test_lean_plane_step_equals_the_stacked_step_bitwise(case, monkeypatch):
     )
 
 
+# The dense one-step map ``A @ f.ravel() + r`` against one kernel step.
+# The product sums each output's q terms (and its offset) with the zeros
+# between them.  Where the BLAS's matrix-vector product keeps them in one
+# partial sum, it rounds as the kernel's matrix product does: bitwise,
+# on one BLAS thread or two, on every field tried.  Elsewhere both are
+# dot products of q + 1 terms, each within (q + 1) eps of the row's
+# absolute sum of its exact value; measured, they differ by at most 1.77
+# eps of it (split-half-100x7, 12 fields).
+DENSE_BITWISE = {
+    "line-n32-anti-bounce-back", "line-n64-periodic", "plane-split-half",
+    "plane-population", "plane-pressure", "plane-periodic", "split-half-column-7",
+}
+
+# The force columns the steady solve maps: the lower rows of one column.
+DENSE_COLUMN_CASES = {
+    "split-half-column-7": ((4, 1), (7, 1), (0.1875, 2.0), "force-split-half"),
+    "population-column-11": ((6, 1), (11, 1), (0.09375, 2.0), "force-population"),
+}
+
+
+def _assert_dense_map_is_one_step(case, f, a, r, step):
+    got = a @ f.ravel() + r
+    if case in DENSE_BITWISE:
+        assert np.array_equal(got, step.ravel())
+    # |A| in place: the largest map, split-half-100x7's, takes 320 MB.
+    row_sums = np.abs(a, out=a) @ np.abs(f.ravel()) + np.abs(r)
+    bound = 2 * (len(f) + 1) * np.finfo(float).eps * row_sums
+    assert np.all(np.abs(got - step.ravel()) <= bound)
+
+
+@pytest.mark.parametrize("case", list(LEAN_LINE_CASES))
+def test_dense_line_map_is_one_kernel_step(case):
+    n, closures, variant, sigmas, source = LEAN_LINE_CASES[case]
+    f = np.random.default_rng(82).normal(size=(3, n))
+    args = (closures, relaxation_d1q3(*sigmas), variant, ZETA[variant], source)
+    a, r = kernels.d1q3_map(f.shape, *args)
+    _assert_dense_map_is_one_step(case, f, a, r, d1q3_run(f, 1, *args))
+
+
+@pytest.mark.parametrize("case", [*LEAN_PLANE_CASES, *DENSE_COLUMN_CASES])
+def test_dense_plane_map_is_one_kernel_step(case):
+    if case in DENSE_COLUMN_CASES:
+        shape, (ny, nx), sigmas, driving = DENSE_COLUMN_CASES[case]
+        closures, fx = force_channel_closures(), 1e-6
+    else:
+        shape, closures, sigmas, driving, fx = LEAN_PLANE_CASES[case]
+        ny, nx = LEAN_FULL_GRIDS.get(case, shape)
+    f = np.random.default_rng(83).normal(size=(9,) + shape)
+    args = (closures, relaxation_d2q9(*sigmas), -2.0, 1.0, driving, fx)
+    a, r = kernels.d2q9_map(f.shape, *args, ny=ny, nx=nx)
+    _assert_dense_map_is_one_step(case, f, a, r, d2q9_run(f, 1, *args, ny=ny, nx=nx))
+
+
+@pytest.mark.parametrize("ny", [7, 8, 11])
+@pytest.mark.parametrize("driving", ["force-split-half", "force-population"])
+def test_unfold_weights_are_the_left_null_vector_of_a_force_column(driving, ny):
+    # The step conserves the mass of the full column, the weighted sum of
+    # the marched values; the mid-row of an odd channel holds values read
+    # from their mirror images, which weigh nothing.
+    shape = (9, (ny + 1) // 2, 1)
+    args = (force_channel_closures(), relaxation_d2q9(0.3, 1.1), -2.0, 1.0, driving, 1e-6)
+    a, _ = kernels.d2q9_map(shape, *args, ny=ny, nx=1)
+    w = kernels.unfold_weights(shape, ny=ny, nx=1)
+    assert np.max(np.abs(w @ a - w)) <= 1e-14
+    f = np.random.default_rng(84).normal(size=shape)
+    assert w @ f.ravel() == pytest.approx(kernels.unfold(f, ny=ny).sum(), rel=1e-12)
+
+
 def test_operators_are_built_on_first_use_without_scipy():
     code = (
         "import sys, magiclbm.cli\n"
