@@ -292,11 +292,15 @@ def parse_config(text, overrides=(), source="<config>", implied=(None, None)):
         Carrying every violation found, not just the first.
     """
     raw = _read_document(text, source)
-    where = _key_lines(text)
+    where = {}  # "override" for the overridden keys; line numbers on demand
     problems = _apply_overrides(raw, where, overrides)
+    lines = None
 
     def note(section, key, message):
-        place = where.get((section, key))
+        nonlocal lines
+        if lines is None:  # scanned only for a document that has a violation
+            lines = _key_lines(text)
+        place = where.get((section, key)) or lines.get((section, key))
         if place is None:
             prefix = f"{source}: "
         elif place == "override":

@@ -16,7 +16,7 @@ correction.  The pressure-driven scheme stores the observable directly.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 DRIVING_TAGS = ("force-split-half", "force-population", "pressure")
+_DRIVING_RULE = f"must be one of {DRIVING_TAGS}"
 
 # Window-residual differences a march mixes into its next start (see _march).
 ANDERSON_DEPTH = 2
@@ -86,8 +87,9 @@ class SteadyStateCriterion:
     a march stops, and returns, only at the end of a real window.
     ``max_steps`` bounds the total of kernel steps marched.  Construction
     refuses, listing every violation at once: a ``tolerance`` that is not
-    finite or not positive, ``check_every`` < 1 and ``max_steps`` <
-    ``check_every``.
+    finite or not positive, a ``check_every`` or ``max_steps`` that is
+    not a whole number (a whole float is stored as an int),
+    ``check_every`` < 1 and ``max_steps`` < ``check_every``.
     """
 
     tolerance: float = 1e-15
@@ -98,24 +100,39 @@ class SteadyStateCriterion:
         _refuse_violations(self, [
             ("check_every", self.check_every >= 1, "must be >= 1"),
             ("max_steps", self.max_steps >= self.check_every,
-             f"must be >= check_every ({self.check_every})"),
-        ], positive=("tolerance",))
+             "must be >= check_every ({check_every})"),
+        ], positive=("tolerance",), whole=("check_every", "max_steps"))
 
 
-def _refuse_violations(exp, rules, positive):
+def _refuse_violations(exp, rules, positive, whole):
     """Raise one ConfigurationError listing every rule ``exp`` breaks.
 
-    Every float must be finite, each field in ``positive`` above zero, and
-    each (field, holds, requirement) of ``rules`` must hold; a field that
-    is not finite meets no other rule.  Each violation opens with its field.
+    Every float must be finite, each field in ``whole`` a whole number,
+    stored as an int, each field in ``positive`` above zero, and each
+    (field, holds, requirement) of ``rules`` must hold; a field that is
+    not finite or not whole meets no other rule.  Each violation opens
+    with its field; a requirement is a ``str.format`` template of the
+    fields, filled in only when its rule fails.
     """
-    values = {f.name: getattr(exp, f.name) for f in fields(exp)}
+    values = vars(exp)  # the fields, read once
     bad = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
-    rules = [*rules, *((k, values[k] > 0.0, "must be positive") for k in positive)]
-    problems = [f"{k}={values[k]} is not finite" for k in bad] + [
-        f"{k} {requirement}, got {values[k]}"
-        for k, holds, requirement in rules if not (holds or k in bad)
-    ]
+    problems = [f"{k}={values[k]} is not finite" for k in bad]
+    for k in whole:
+        v = values[k]
+        if type(v) is int or k in bad:
+            continue
+        count = kernels._whole_number(v)
+        if count is None:
+            problems.append(f"{k} must be a whole number, got {v}")
+            bad.append(k)
+        else:
+            object.__setattr__(exp, k, count)
+    for k, holds, requirement in rules:
+        if not (holds or k in bad):
+            problems.append(f"{k} {requirement.format_map(values)}, got {values[k]}")
+    for k in positive:
+        if not (values[k] > 0.0 or k in bad):
+            problems.append(f"{k} must be positive, got {values[k]}")
     if problems:
         raise ConfigurationError(f"invalid {type(exp).__name__}", problems)
 
@@ -140,8 +157,9 @@ class D1Q3Experiment:
     ``zeta`` is the second-moment equilibrium coefficient; when None it
     takes the variant's default (``_default_zeta``).  Construction
     refuses, listing every violation at once: a ``variant`` other than
-    "a" or "b", ``n`` < 5, a float that is not finite, and ``sigma1``,
-    ``sigma2`` or ``zeta`` <= 0.
+    "a" or "b", an ``n`` that is not a whole number (a whole float is
+    stored as an int) or is < 5, a float that is not finite, and
+    ``sigma1``, ``sigma2`` or ``zeta`` <= 0.
     """
 
     variant: str = "a"
@@ -161,7 +179,7 @@ class D1Q3Experiment:
         _refuse_violations(self, [
             ("variant", self.variant in ("a", "b"), "must be 'a' or 'b'"),
             ("n", self.n >= 5, "must be >= 5"),
-        ], positive=(*self.factors, "zeta"))
+        ], positive=(*self.factors, "zeta"), whole=("n",))
 
     @property
     def diffusivity(self):
@@ -189,9 +207,10 @@ class D2Q9Experiment:
     change its result.  A pressure-driven one is antisymmetric about its
     mid-column, so it is marched on the west ``(nx + 1) // 2`` columns of
     those rows.  Construction refuses, listing every violation at once:
-    a ``driving`` not in ``DRIVING_TAGS``, ``nx`` or ``ny`` < 5, a float
-    that is not finite, ``sigma5`` or ``sigma8`` <= 0, ``s_bulk`` outside
-    (0, 2), and, under pressure driving, a squared sound speed
+    a ``driving`` not in ``DRIVING_TAGS``, an ``nx`` or ``ny`` that is
+    not a whole number (a whole float is stored as an int) or is < 5, a
+    float that is not finite, ``sigma5`` or ``sigma8`` <= 0, ``s_bulk``
+    outside (0, 2), and, under pressure driving, a squared sound speed
     (4 + alpha)/6 <= 0 or a singular predictor, alpha + 2 beta - 4 = 0.
     """
 
@@ -212,7 +231,7 @@ class D2Q9Experiment:
     def __post_init__(self):
         pressure = self.driving == "pressure"
         _refuse_violations(self, [
-            ("driving", self.driving in DRIVING_TAGS, f"must be one of {DRIVING_TAGS}"),
+            ("driving", self.driving in DRIVING_TAGS, _DRIVING_RULE),
             ("nx", self.nx >= 5, "must be >= 5"),
             ("ny", self.ny >= 5, "must be >= 5"),
             ("s_bulk", 0.0 < self.s_bulk < 2.0,
@@ -222,7 +241,7 @@ class D2Q9Experiment:
             ("beta", not (pressure and _singular_predictor(self.alpha, self.beta)),
              "must not give alpha + 2 beta - 4 = 0 under pressure, where the "
              "predictor is singular"),
-        ], positive=self.factors)
+        ], positive=self.factors, whole=("nx", "ny"))
 
     @property
     def product(self):
@@ -497,14 +516,15 @@ def _sample(exp, product, init=None):
 
 
 def _offset(exp, f):
-    """delta_q of a state in the marched shape.  A channel's is unfolded
-    only to read it, a pressure channel's to the full grid and a force
-    channel's to one full-height column, which stands for every column."""
-    column = None
-    if isinstance(exp, D2Q9Experiment):
-        width = exp.nx if exp.driving == "pressure" else 1
-        f, column = kernels.unfold(f, ny=exp.ny, nx=width), width // 2
-    return wall_offset(exp, f, column=column).delta_q
+    """delta_q of a state in the marched shape.  Of a channel's grid only
+    the full-height column the fit reads is unfolded: a pressure channel's
+    mid-column, or a force channel's one column, which stands for every
+    column."""
+    if isinstance(exp, D1Q3Experiment):
+        return wall_offset(exp, f).delta_q
+    width = exp.nx if exp.driving == "pressure" else 1
+    g = kernels.unfold(f, ny=exp.ny, nx=width, column=width // 2)
+    return wall_offset(exp, g, column=0).delta_q
 
 
 def _steady_state(exp):
@@ -522,9 +542,11 @@ def _steady_state(exp):
     values the kernel reads from their mirror images instead; they are
     set to those, as in the marched part of a full-shape state.
     """
+    if exp.tag == "pressure":
+        return None
     _, shape, _, step_map, args, kw = _scheme(exp)
     size = math.prod(shape)
-    if exp.tag == "pressure" or size > DIRECT_UNKNOWNS:
+    if size > DIRECT_UNKNOWNS:
         return None
     a, r = step_map(shape, *args, **kw)
     a = np.subtract(np.eye(size), a, out=a)
@@ -791,7 +813,16 @@ def _wave_amplitudes(kernel, args, start, n, mode, steps, amplitude):
     step on the leading axis): the initial state, then each block the
     kernel observes.  Returns k and the ``steps + 1`` amplitudes, or
     raises ConvergenceError when one is not finite (the wave diverged).
+    A ``mode`` or ``steps`` that is not a whole number >= 1 is refused
+    first, with ConfigurationError listing both.
     """
+    problems = [
+        f"{name} must be a whole number >= 1, got {value}"
+        for name, value in (("mode", mode), ("steps", steps))
+        if kernels._whole_number(value) is None or value < 1
+    ]
+    if problems:
+        raise ConfigurationError("invalid wave measurement", problems)
     k = 2.0 * np.pi * mode / n
     wave = np.sin(k * np.arange(n, dtype=np.float64))
     proj = 2.0 / n * wave
@@ -836,7 +867,8 @@ def measure_diffusivity(exp, mode=1, steps=2000, skip=200):
     initialized at equilibrium and marched with no source; its projection
     amplitude decays like exp(-kappa k^2 t).  The returned kappa comes
     from a log-linear fit, skipping the first ``skip`` steps of kinetic
-    transient (a negative ``skip`` raises ConfigurationError).  A wave
+    transient (a negative ``skip`` raises ConfigurationError, as do a
+    ``mode`` or ``steps`` that is not a whole number >= 1).  A wave
     that grows or diverges raises ConvergenceError.
     The wave runs on a periodic line with no source, so only the scheme
     and ``n`` of ``exp`` are read: its source and criterion are not used.
@@ -862,10 +894,11 @@ def measure_viscosity(exp, mode=1, steps=2000, skip=200):
     Transverse momentum jy = sin(k x), k = 2 pi mode / ``exp.nx``, on a
     fully periodic plane decays like exp(-nu k^2 t); nu comes from a
     log-linear fit of the projection amplitude, skipping the first
-    ``skip`` steps as in ``measure_diffusivity``.  The wave is uniform in
-    y, so one row of the plane is marched.  A wave that grows or diverges
-    raises ConvergenceError.  The plane is periodic and undriven, so only
-    the scheme and ``nx`` of ``exp`` are read: its driving, ``fx``,
+    ``skip`` steps and checking ``mode`` and ``steps`` as in
+    ``measure_diffusivity``.  The wave is uniform in y, so one row of the
+    plane is marched.  A wave that grows or diverges raises
+    ConvergenceError.  The plane is periodic and undriven, so only the
+    scheme and ``nx`` of ``exp`` are read: its driving, ``fx``,
     ``delta_p``, ``ny`` and criterion are not used.
     """
 
@@ -887,8 +920,9 @@ def measure_sound_speed(exp, mode=1, steps=4096):
     (linearly interpolated), and c = omega / k is returned.  Validates the
     squared-sound-speed convention (4 + alpha) / 6 used to convert
     pressure drops to density offsets.  As in ``measure_viscosity``, one
-    row of the plane is marched, only the scheme and ``nx`` of ``exp`` are
-    read, and a wave that diverges raises ConvergenceError.
+    row of the plane is marched, ``mode`` and ``steps`` are checked, only
+    the scheme and ``nx`` of ``exp`` are read, and a wave that diverges
+    raises ConvergenceError.
     """
     k, amps = _plane_wave_amplitudes(
         0, lambda proj, f: np.sum(proj * f.sum(axis=1), axis=(1, 2)), exp, mode, steps

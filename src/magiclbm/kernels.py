@@ -26,7 +26,8 @@ antisymmetric about its mid-column, as a pressure channel is, on its
 west ``(nx + 1) // 2`` columns: ``_mirror_map`` cuts the full grid's
 ``idx`` and ``b`` to those and reads each other source from its mirror
 image (``_fold``), negated across the mid-column, so the boundary
-physics stays that of ``lattice.stream``.  ``unfold`` rebuilds the grid.
+physics stays that of ``lattice.stream``.  ``unfold`` rebuilds the grid,
+or one column of it.
 Every plane march goes through ``_mirror_map``: on a full field the fold
 is the identity and the map is ``_stream_map``'s.
 
@@ -39,13 +40,13 @@ Both lattices share one time loop, ``_march``, with the gather bound
 once before it.  The loop gathers through its own writable copy of
 ``idx`` (``take`` would copy a read-only index on every step) and
 multiplies through the bound ``kc.dot`` (``np.dot`` would go through
-numpy's dispatcher on every step).  The loop steps through a ring of m
-states: step k multiplies row k - 1 (mod m) and gathers into row k, so
-the march keeps m consecutive states with no copy.  Unobserved, m is 1
-and the step is in place.  Observed, the ring holds about
-``_OBSERVE_BYTES``, and the observer is handed a read-only view of it
-when it is full, and once more for the rest, so observing costs one call
-per block, not per step.
+numpy's dispatcher on every step).  Unobserved, the march steps one
+state in place in a plain loop.  Observed, it steps through a ring of m
+states, about ``_OBSERVE_BYTES``: step k multiplies row k - 1 (mod m)
+and gathers into row k, so the march keeps m consecutive states with no
+copy, and the observer is handed a read-only view of the ring when it
+is full, and once more for the rest, so observing costs one call per
+block, not per step.
 """
 
 import functools
@@ -201,11 +202,16 @@ def _sources(q, stream_map, *key):
     return sources, _frozen(which.reshape(-1) * n + nodes)
 
 
-def unfold(f, ny=None, nx=None):
+def unfold(f, ny=None, nx=None, *, column=None):
     """The full ``(9, ny, nx)`` grid, a fresh array, of a field that
-    ``d2q9_run`` marches with these ``ny`` and ``nx``."""
+    ``d2q9_run`` marches with these ``ny`` and ``nx``; with ``column`` (0
+    to nx - 1), only that column of it, a fresh ``(9, ny, 1)`` array."""
     full = (D2Q9.q, ny or f.shape[1], nx or f.shape[2])
     fold, negated = _fold(f.shape, *full[1:])
+    if column is not None:
+        pick = np.s_[:, :, column : column + 1]
+        fold, negated = fold.reshape(full)[pick], negated.reshape(full)[pick]
+        full = fold.shape
     g = f.ravel()[fold]
     return np.negative(g, out=g, where=negated).reshape(full)
 
@@ -257,13 +263,19 @@ def unfold_weights(shape, ny=None, nx=None):
     return np.bincount(fold, signs, minlength=int(np.prod(shape)))
 
 
+def _whole_number(value):
+    """``value`` as an int when it is a whole number, else None."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return count if count == value else None
+
+
 def _step_count(steps):
     """``steps`` as an int, refused unless it is a whole number >= 0."""
-    try:
-        count = int(steps)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if count is None or count != steps or count < 0:
+    count = _whole_number(steps)
+    if count is None or count < 0:
         raise ValueError(f"steps must be a whole number >= 0, got {steps!r}")
     return count
 
@@ -271,24 +283,33 @@ def _step_count(steps):
 def _march(f, steps, kc, idx, observe):
     steps = _step_count(steps)
     f = np.asarray(f, dtype=np.float64)
-    q = len(f)
-    m = 1 if observe is None else max(1, min(steps, _OBSERVE_BYTES // f.nbytes))
-    ring = np.ones((m, kc.shape[1], f.size // q))
-    states = ring[:, :q].reshape((m,) + f.shape)
-    states[-1] = f
-    post = np.empty((len(kc), ring.shape[2]))
+    q, nodes = len(f), f.size // len(f)
+    post = np.empty((len(kc), nodes))
     # take would copy the caches' shared read-only idx on every step, and
     # np.dot would dispatch on every step: one writable copy, and kc.dot.
     dot, take, idx = kc.dot, post.reshape(-1).take, idx.copy()
+    if observe is None:  # one state, with the row of ones, stepped in place
+        state = np.ones((kc.shape[1], nodes))
+        out = state[:q].reshape(f.shape)
+        out[...] = f
+        dst = out.reshape(-1)
+        for _ in itertools.repeat(None, steps):
+            dot(state, post)
+            take(idx, out=dst, mode="clip")
+        return out
+    m = max(1, min(steps, _OBSERVE_BYTES // f.nbytes))
+    ring = np.ones((m, kc.shape[1], nodes))
+    states = ring[:, :q].reshape((m,) + f.shape)
+    states[-1] = f
     writes = states.reshape(m, -1)
     rows = [(ring[k - 1], writes[k]) for k in range(m)]
-    last = rows[-1][1] if observe is not None else None
+    last = rows[-1][1]
     for src, dst in itertools.islice(itertools.cycle(rows), steps):
         dot(src, post)
         take(idx, out=dst, mode="clip")
         if dst is last:
             observe(_frozen(states.view()))
-    if observe is not None and steps % m:
+    if steps % m:
         observe(_frozen(states[: steps % m]))
     return states[(steps - 1) % m]
 

@@ -4,6 +4,7 @@ import inspect
 
 import pytest
 
+from magiclbm import config
 from magiclbm.config import (
     RunConfig,
     build_experiment,
@@ -375,6 +376,25 @@ def test_experiment_violations_name_their_own_key():
     # stable, but its sigma 1/s - 1/2 overflows.
     (violation,) = violations_of(MINIMAL_LINE + "\n[relaxation]\ns1 = 1e-320\n")
     assert violation == "<config>:5: relaxation.s1: sigma1=inf is not finite"
+
+
+def test_a_valid_document_is_not_scanned_for_line_numbers(monkeypatch):
+    # Line numbers only annotate violations, so they are read only then.
+    def scan(text):
+        raise AssertionError("_key_lines called")
+
+    monkeypatch.setattr(config, "_key_lines", scan)
+    parse_config(MINIMAL_PLANE + "driving = pressure\n\n[grid]\nnx = 40\nny = 9\n")
+    parse_config(MINIMAL_LINE, overrides=("grid.n=20",))
+
+
+def test_line_numbers_and_overrides_annotate_side_by_side():
+    # An override wins over the line the document set the same key on.
+    text = MINIMAL_LINE + "\n[grid]\nn = 40\nbogus = 1\n"
+    assert violations_of(text, overrides=("grid.n=2",)) == [
+        "<config>:6: grid.bogus: unknown key",
+        "--override grid.n: n must be >= 5, got 2",
+    ]
 
 
 def test_half_bracket_is_rejected():

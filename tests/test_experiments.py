@@ -702,6 +702,58 @@ def test_searches_on_marched_states_sample_as_on_full_ones(name, monkeypatch):
     assert searched == repr((find_magic_root(exp), sweep_product(exp, products)))
 
 
+# Every column a wall-offset read unfolds: pressure channels of both width
+# and height parities, and force channels of odd and even height.
+OFFSET_CASES = {
+    "pressure-40x9": D2Q9Experiment(driving="pressure", nx=40, ny=9),
+    "pressure-41x9": D2Q9Experiment(driving="pressure", nx=41, ny=9),
+    "pressure-40x8": D2Q9Experiment(driving="pressure", nx=40, ny=8),
+    "pressure-41x8": D2Q9Experiment(driving="pressure", nx=41, ny=8),
+    "split-half-7": D2Q9Experiment(driving="force-split-half", nx=5, ny=7),
+    "population-8": D2Q9Experiment(driving="force-population", nx=5, ny=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFFSET_CASES))
+def test_offset_of_the_marched_state_is_the_full_grids_offset_bitwise(name):
+    # _offset unfolds only the column the fit reads; wall_offset reads it
+    # from the full grid run_to_steady rebuilds.
+    exp = experiments._with_product(OFFSET_CASES[name], 0.3)
+    f, _ = run_to_steady(exp, marched=True)
+    full, _ = run_to_steady(exp)
+    assert repr(experiments._offset(exp, f)) == repr(wall_offset(exp, full).delta_q)
+
+
+def full_grid_offset(exp, f):
+    """``experiments._offset`` as it was before it unfolded one column: a
+    pressure channel's marched state unfolded to the full grid."""
+    column = None
+    if isinstance(exp, D2Q9Experiment):
+        width = exp.nx if exp.driving == "pressure" else 1
+        f, column = kernels.unfold(f, ny=exp.ny, nx=width), width // 2
+    return wall_offset(exp, f, column=column).delta_q
+
+
+@pytest.mark.parametrize("name", sorted(MARCHED_CASES) + ["pressure-41x9"])
+def test_searches_read_offsets_as_the_full_grid_read_did(name, monkeypatch):
+    exp = {**MARCHED_CASES, **OFFSET_CASES}[name]
+    magic = experiments.predicted_product(exp)
+    products = [0.7 * magic, magic, 1.4 * magic]
+    searched = repr((find_magic_root(exp), sweep_product(exp, products)))
+    monkeypatch.setattr(experiments, "_offset", full_grid_offset)
+    assert searched == repr((find_magic_root(exp), sweep_product(exp, products)))
+
+
+def test_a_pressure_channel_is_never_described_for_a_direct_solve(monkeypatch):
+    # _steady_state turns a pressure channel away before it builds the
+    # scheme's description.
+    def scheme(exp):
+        raise AssertionError("_scheme called")
+
+    monkeypatch.setattr(experiments, "_scheme", scheme)
+    assert experiments._steady_state(OFFSET_CASES["pressure-40x9"]) is None
+
+
 # The cases of the direct steady solve, at their closed-form products.
 DIRECT_CASES = {
     "line-a": D1Q3Experiment(variant="a", n=32),
@@ -824,6 +876,47 @@ def test_experiments_list_every_violation():
         "sigma1 must be positive, got -1.0",
         "zeta must be positive, got 0.0",
     ]
+
+
+def test_a_numpy_nan_is_refused():
+    # numpy floats are floats: the finiteness rule catches them too.
+    with pytest.raises(ConfigurationError) as excinfo:
+        D2Q9Experiment(fx=np.float64("nan"))
+    assert excinfo.value.violations == ["fx=nan is not finite"]
+
+
+@pytest.mark.parametrize("make, kwargs, violations", [
+    (D1Q3Experiment, dict(n=32.5), ["n must be a whole number, got 32.5"]),
+    (D2Q9Experiment, dict(nx=40.0, ny=9.5), ["ny must be a whole number, got 9.5"]),
+    (D2Q9Experiment, dict(nx=4.5, ny=2.5, sigma5=-1.0), [
+        "nx must be a whole number, got 4.5",
+        "ny must be a whole number, got 2.5",
+        "sigma5 must be positive, got -1.0",
+    ]),
+    (D1Q3Experiment, dict(n=np.inf), ["n=inf is not finite"]),
+    (SteadyStateCriterion, dict(check_every=2.5, max_steps=1000.5), [
+        "check_every must be a whole number, got 2.5",
+        "max_steps must be a whole number, got 1000.5",
+    ]),
+], ids=["line", "channel", "with-other-rules", "not-finite", "criterion"])
+def test_sizes_and_step_counts_must_be_whole_numbers(make, kwargs, violations):
+    # They went in and failed mid-march, with a TypeError from the kernel.
+    # A field that is not whole is held to no other rule (2.5 < 5).
+    with pytest.raises(ConfigurationError) as excinfo:
+        make(**kwargs)
+    assert excinfo.value.violations == violations
+
+
+def test_whole_float_sizes_and_step_counts_are_stored_as_ints():
+    criterion = SteadyStateCriterion(check_every=100.0, max_steps=np.float64(4e4))
+    exp = D2Q9Experiment(nx=np.int64(6), ny=11.0, criterion=criterion)
+    line = D1Q3Experiment(n=16.0)
+    stored = (exp.nx, exp.ny, line.n, criterion.check_every, criterion.max_steps)
+    assert stored == (6, 11, 16, 100, 40_000)
+    assert all(type(v) is int for v in stored)
+    whole = SteadyStateCriterion(max_steps=40_000)
+    assert exp == D2Q9Experiment(**CHANNEL, criterion=whole)
+    assert np.array_equal(run_to_steady(line)[0], run_to_steady(D1Q3Experiment(**LINE))[0])
 
 
 @pytest.mark.parametrize(
@@ -1354,6 +1447,37 @@ def test_negative_skip_is_refused(measure, exp):
     # A negative skip used to cut the fit window from its end.
     with pytest.raises(ConfigurationError, match="skip must be >= 0, got -1000"):
         measure(exp, skip=-1000)
+
+
+_WAVES = {
+    measure_diffusivity: D1Q3Experiment(variant="a", n=64, sigma1=1.0, sigma2=0.125),
+    measure_viscosity: D2Q9Experiment(nx=64, sigma5=0.375, sigma8=1.0),
+    measure_sound_speed: D2Q9Experiment(nx=64, sigma5=1.0, sigma8=1.0),
+}
+
+
+@pytest.mark.parametrize("kwargs, violations", [
+    (dict(mode=1.5), ["mode must be a whole number >= 1, got 1.5"]),
+    (dict(mode=0), ["mode must be a whole number >= 1, got 0"]),
+    (dict(steps=300.5), ["steps must be a whole number >= 1, got 300.5"]),
+    (dict(mode=-2, steps=0), [
+        "mode must be a whole number >= 1, got -2",
+        "steps must be a whole number >= 1, got 0",
+    ]),
+], ids=["half-mode", "zero-mode", "half-steps", "both"])
+@pytest.mark.parametrize("measure", list(_WAVES), ids=lambda m: m.__name__)
+def test_wave_mode_and_steps_must_be_whole_numbers(measure, kwargs, violations):
+    # A mode of 1.5 measured a wave that does not fit the periodic line:
+    # diffusivity 0.0332 where mode 1 gives 0.3344, with no error.
+    with pytest.raises(ConfigurationError) as excinfo:
+        measure(_WAVES[measure], **kwargs)
+    assert excinfo.value.violations == violations
+
+
+@pytest.mark.parametrize("measure", list(_WAVES), ids=lambda m: m.__name__)
+def test_whole_float_mode_and_steps_measure_as_ints(measure):
+    exp = _WAVES[measure]
+    assert measure(exp, mode=2.0, steps=600.0) == measure(exp, mode=2, steps=600)
 
 
 def test_exhausted_mode_raises_measurement_error():

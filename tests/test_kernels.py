@@ -539,6 +539,43 @@ def test_observer_block_is_read_only(case):
         run(f, 5, observe=scribble)
 
 
+def _lean_case(case):
+    """A field of a ``LEAN_LINE_CASES`` or ``LEAN_PLANE_CASES`` case and its
+    march, ``run(f, steps, observe=None)``."""
+    rng = np.random.default_rng(90)
+    if case in LEAN_LINE_CASES:
+        n, closures, variant, sigmas, source = LEAN_LINE_CASES[case]
+        return rng.normal(size=(3, n)), lambda f, steps, **kw: _line_call(
+            f, steps, variant, *sigmas, closures, source, **kw
+        )
+    shape, closures, sigmas, driving, fx = LEAN_PLANE_CASES[case]
+    ny, nx = LEAN_FULL_GRIDS.get(case, shape)
+    settings = relaxation_d2q9(*sigmas)
+    return rng.normal(size=(9,) + shape), lambda f, steps, **kw: d2q9_run(
+        f, steps, closures, settings, -2.0, 1.0, driving, fx, ny=ny, nx=nx, **kw
+    )
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 100])
+@pytest.mark.parametrize("case", [*LEAN_LINE_CASES, *LEAN_PLANE_CASES])
+def test_unobserved_march_equals_the_ring_and_chained_one_step_calls(case, steps):
+    # Unobserved, the march steps one state in place in a plain loop;
+    # observed, through the ring, which wraps on the larger grids.  Both,
+    # and the one-step calls chained, reach the same state bitwise, in a
+    # fresh array that shares no memory with the start.
+    f, run = _lean_case(case)
+    start = f.copy()
+    got = run(f, steps)
+    ringed = run(f, steps, observe=lambda block: None)
+    chained = f
+    for _ in range(steps):
+        chained = run(chained, 1)
+    assert np.array_equal(got, ringed)
+    assert np.array_equal(got, chained)
+    assert np.array_equal(f, start)
+    assert not np.shares_memory(got, f)
+
+
 # The three march shapes of a root search: a line, a force column (lower
 # rows of a 7-high channel) and the pressure quarter grid of 40x9.
 GATHER_CASES = {
@@ -844,6 +881,23 @@ def test_lower_half_marches_as_the_symmetric_grid_does(shape, case):
         assert np.array_equal(half[MIRROR, -1], half[:, -1])
     full = np.concatenate([half, half[MIRROR, : ny // 2][:, ::-1]], axis=1)
     assert np.max(np.abs(full - grid)) <= MIRROR_RTOL * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("ny, nx", [(9, 40), (9, 41), (8, 40), (8, 41), (7, 1), (8, 1)])
+def test_one_unfolded_column_is_that_column_of_the_unfolded_grid(ny, nx):
+    # Bitwise, for every column of the lower rows' west columns.  On an odd
+    # width the mid-column is marched, but its west-moving populations are
+    # read from their negated mirrors, not from the field's own values.
+    f = np.random.default_rng(91).normal(size=(9, (ny + 1) // 2, (nx + 1) // 2))
+    full = kernels.unfold(f, ny=ny, nx=nx)
+    for column in range(nx):
+        got = kernels.unfold(f, ny=ny, nx=nx, column=column)
+        assert got.shape == (9, ny, 1)
+        assert np.array_equal(got, full[:, :, column : column + 1])
+    if nx % 2 and nx > 1:
+        west = [3, 6, 7]
+        mid = kernels.unfold(f, ny=ny, nx=nx, column=nx // 2)[west, : f.shape[1], 0]
+        assert not np.array_equal(mid, f[west, :, -1])
 
 
 def test_a_field_of_neither_height_is_refused():
