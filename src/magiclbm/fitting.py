@@ -93,16 +93,31 @@ def fit_parabola(x, u):
     Raises
     ------
     FitError
-        For fewer than three distinct abscissae, or when the fitted
-        curvature is below the degeneracy floor relative to the data
-        scale (including identically-zero data), in which case no root
-        could be trusted.
+        For a NaN or infinite sample, for fewer than three distinct
+        abscissae, or when the fitted curvature is below the degeneracy
+        floor relative to the data scale (including identically-zero
+        data), in which case no root could be trusted.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     u = np.asarray(u, dtype=np.float64).ravel()
     if x.shape != u.shape:
         raise FitError(f"abscissae and values differ in length: {x.size} vs {u.size}")
-    distinct = np.unique(x).size
+    n = x.size
+    if n:
+        # The span's and the scale's reductions are NaN or infinite
+        # exactly when a sample is: LAPACK must not see one.
+        lo, hi = float(x.min()), float(x.max())
+        scale = float(np.abs(u).max())
+        bad_x = not (math.isfinite(lo) and math.isfinite(hi))
+        bad_u = not math.isfinite(scale)
+        if bad_x or bad_u:
+            named = " and ".join(
+                name for name, bad in (("abscissae", bad_x), ("values", bad_u)) if bad
+            )
+            raise FitError(f"parabola fit needs finite samples: non-finite {named}")
+    # A set of finite floats counts as np.unique does (+0.0 == -0.0);
+    # np.unique would import numpy.ma on its first call.
+    distinct = len(set(x.tolist()))
     if distinct < 3:
         raise FitError(
             f"parabola fit needs at least 3 distinct abscissae, got {distinct}"
@@ -112,9 +127,8 @@ def fit_parabola(x, u):
     # extraction happens in the same well-conditioned variable.  The
     # scalars are Python floats: the same IEEE operations in the same
     # order as on numpy scalars, without their per-operation overhead.
-    n = x.size
     center = float(x.sum()) / n
-    span = float(x.max()) - float(x.min())
+    span = hi - lo
     z = (x - center) / span
     vand = np.empty((n, 3))
     vand[:, 0] = 1.0
@@ -126,7 +140,6 @@ def fit_parabola(x, u):
     misfit = vand @ coef_z - u
     residual = math.sqrt(float((misfit * misfit).sum()) / n)
 
-    scale = float(np.abs(u).max())
     if scale == 0.0 or abs(b2) < DEGENERACY_FLOOR * scale:
         raise FitError(
             "degenerate parabola fit: no curvature "

@@ -3,13 +3,15 @@
 Each command is driven in process through ``main`` with small grids, and
 the emitted CSV tables are parsed back to check both the numbers and the
 serialization contract.  Subprocess checks make sure the module entry
-point stays wired up and that a root search never imports scipy.
+point stays wired up, that no command imports numpy.ma, scipy, sympy or
+matplotlib, and that the emitted plot scripts draw their CSV.
 """
 
 import argparse
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -175,6 +177,87 @@ def test_sweep_plot_script_runs(tmp_path):
     assert (tmp_path / "sweep.png").exists()
 
 
+# A stand-in for matplotlib that logs each call as one JSON line, so the
+# emitted scripts can run where matplotlib is not installed.
+_STUB_MATPLOTLIB = {
+    "__init__.py": """\
+import json
+import os
+
+_LOG = os.path.join(os.path.dirname(__file__), os.pardir, "calls.jsonl")
+
+
+def _record(name, *args, **kwargs):
+    with open(_LOG, "a") as handle:
+        handle.write(json.dumps([name, args, kwargs]) + "\\n")
+
+
+def use(backend):
+    _record("use", backend)
+""",
+    "pyplot.py": """\
+from matplotlib import _record
+
+
+class _Recorder:
+    def __init__(self, prefix):
+        self._prefix = prefix
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: _record(self._prefix + name, *args, **kwargs)
+
+
+def subplots(*args, **kwargs):
+    _record("subplots", *args, **kwargs)
+    return _Recorder("fig."), _Recorder("ax.")
+""",
+}
+
+
+@pytest.mark.parametrize("command, scheme, xlabel", [
+    ("sweep",
+     "[scheme]\nmodel = d1q3\n\n[grid]\nn = 16\n\n"
+     "[sweep]\nproducts = 0.0625, 0.125, 0.25\nsplit_check = false\n",
+     "sigma1 sigma2"),
+    ("magic-root",
+     "[scheme]\nmodel = d2q9\ndriving = force-population\n\n[grid]\nnx = 6\nny = 11\n",
+     "sigma5 sigma8"),
+], ids=["fig2", "fig4"])
+def test_plot_script_draws_its_csv_with_a_stub_matplotlib(tmp_path, command, scheme, xlabel):
+    config = tmp_path / "scheme.ini"
+    config.write_text(scheme)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    for name, text in _STUB_MATPLOTLIB.items():
+        (stub / name).write_text(text)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(out / f"{command}.plot")],
+        cwd=elsewhere,
+        env={**os.environ, "PYTHONPATH": str(stub.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = {}
+    for line in (tmp_path / "stub" / "calls.jsonl").read_text().splitlines():
+        name, args, kwargs = json.loads(line)
+        calls.setdefault(name, []).append((args, kwargs))
+    meta, header, rows = read_table(out / f"{command}.csv")
+    assert header[2:] == ["product", "delta_q_over_dx"]
+    assert calls["use"] == [(["Agg"], {})]
+    [(plotted, _)] = calls["ax.plot"]
+    assert plotted[:2] == [[row[2] for row in rows], [row[3] for row in rows]]
+    [(vline, _)] = calls["ax.axvline"]
+    assert vline == [float(meta["predictor"])]
+    assert calls["ax.set_xlabel"] == [([xlabel], {})]
+    assert calls["fig.savefig"] == [([str(out / f"{command}.png")], {"dpi": 150})]
+
+
 def test_magic_root_command(tmp_path):
     config = tmp_path / "root.ini"
     config.write_text(
@@ -206,13 +289,56 @@ def test_magic_root_command_does_not_import_scipy(tmp_path, scheme):
         "from magiclbm.cli import main\n"
         f"assert main(['magic-root', '--config', {str(config)!r}, "
         f"'--out', {str(tmp_path)!r}]) == 0\n"
-        "assert not {'scipy', 'sympy'} & set(sys.modules), sorted(sys.modules)\n"
+        "assert not {'numpy.ma', 'scipy', 'sympy'} & set(sys.modules), sorted(sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "magic-root.csv").exists()
+
+
+def test_no_command_imports_modules_it_never_uses(tmp_path):
+    # Each of these costs a command run from the shell import time and
+    # memory, and none is needed: numpy.ma (which np.unique loads), scipy,
+    # sympy, and matplotlib, which only the emitted .plot scripts import.
+    line = tmp_path / "line.ini"
+    line.write_text(
+        "[scheme]\nmodel = d1q3\n\n[grid]\nn = 16\n\n"
+        "[sweep]\nproducts = 0.0625, 0.125, 0.25\nsplit_check = false\n"
+    )
+    channel = tmp_path / "channel.ini"
+    channel.write_text(
+        "[scheme]\nmodel = d2q9\ndriving = force-population\n\n[grid]\nnx = 6\nny = 11\n"
+    )
+    wave = ["--override", "measure.steps=300", "--override", "measure.skip=30"]
+    runs = [
+        ["poisson-1d", "--override", "grid.n=16"],
+        ["poiseuille-force", "--override", "grid.ny=11"],
+        ["poiseuille-force-pop", "--override", "grid.ny=11"],
+        ["poiseuille-pressure", "--override", "grid.nx=6", "--override", "grid.ny=11",
+         "--override", "relaxation.sigma5=0.1875"],
+        ["sweep", "--config", str(line)],
+        ["magic-root", "--config", str(channel)],
+        ["diffusivity", "--override", "measure.n=16", *wave],
+        ["viscosity", "--override", "measure.nx=16", *wave],
+    ]
+    assert sorted(run[0] for run in runs) == sorted(_COMMANDS)
+    code = (
+        "import sys\n"
+        "from magiclbm.cli import main\n"
+        f"for run in {runs!r}:\n"
+        f"    assert main([*run, '--out', {str(tmp_path)!r}]) == 0, run\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'sympy', 'matplotlib')\n"
+        "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert sorted(p.stem for p in tmp_path.glob("*.csv")) == sorted(_COMMANDS)
 
 
 def test_single_run_commands_do_not_emit_plots(tmp_path):

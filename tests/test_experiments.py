@@ -1358,6 +1358,38 @@ def test_viscosity_equals_the_one_step_loop(alpha, beta, nx, ny):
     assert got == _one_step_viscosity(0.4, 0.9, alpha, beta, **args)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, nx", [(-2.0, 1.0, 16), (-2.5, 2.5, 16), (-2.0, 1.0, 64)],
+    ids=["-2.0-1.0", "-2.5-2.5", "-2.0-1.0-64"],
+)
+def test_viscosity_amplitudes_equal_the_one_row_one_step_loop(monkeypatch, alpha, beta, nx):
+    # The nu pin above compares polyfit slopes, which can round two
+    # different series alike; this pins the series itself, bitwise, against
+    # chained one-step calls on the same (9, 1, nx) row.
+    captured = []
+    decay_rate = experiments._decay_rate
+    monkeypatch.setattr(
+        experiments, "_decay_rate",
+        lambda amps, skip: captured.append(np.array(amps)) or decay_rate(amps, skip),
+    )
+    exp = D2Q9Experiment(nx=nx, sigma5=0.4, sigma8=0.9, alpha=alpha, beta=beta, s_bulk=1.3)
+    measure_viscosity(exp, mode=1, steps=300, skip=30)
+
+    closures = boundaries.periodic_plane_closures()
+    rates = relaxation_d2q9(0.4, 0.9, 1.3)
+    wave = np.sin(2.0 * np.pi / nx * np.arange(nx, dtype=np.float64))
+    proj = 2.0 / nx * wave
+    zero = np.zeros((1, nx))
+    f = from_moments(build_d2q9_basis(), equilibrium_d2q9(zero, zero, wave[None], alpha, beta))
+    expect = []
+    for t in range(301):
+        if t:
+            f = kernels.d2q9_run(f, 1, closures, rates, alpha, beta)
+        expect.append(float(np.sum(proj * ((f[2] + f[5] + f[6]) - (f[4] + f[7] + f[8])))))
+    assert len(captured) == 1
+    assert captured[0].tobytes() == np.array(expect).tobytes()
+
+
 def test_sound_speed_equals_the_one_step_loop():
     exp = D2Q9Experiment(nx=16, sigma5=0.6, sigma8=0.9, alpha=-1.0, beta=0.5, s_bulk=1.2)
     got = measure_sound_speed(exp, mode=1, steps=400)

@@ -76,6 +76,59 @@ def test_fit_rejects_too_few_distinct_points():
         fit_parabola(x, u)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["abscissae", "values"])
+def test_fit_refuses_non_finite_samples_before_lapack(bad, where, capfd):
+    # Unrefused, a non-finite abscissa made LAPACK print a DLASCL error and
+    # lstsq raise LinAlgError; a non-finite value gave a fit of NaNs.
+    x = np.linspace(0.0, 1.0, 7)
+    u = x * (1.0 - x)
+    (x if where == "abscissae" else u)[3] = bad
+    with pytest.raises(FitError) as raised:
+        fit_parabola(x, u)
+    assert str(raised.value) == f"parabola fit needs finite samples: non-finite {where}"
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("x, u, expected", [
+    ([0.0, np.nan, 2.0], [1.0, 2.0], "differ in length: 3 vs 2"),
+    ([np.nan, np.nan, np.nan], [1.0, 2.0, 3.0], "non-finite abscissae"),
+    ([1.0, 1.0], [np.inf, 0.0], "non-finite values"),
+    ([0.0, np.inf, 2.0], [np.nan, 1.0, 2.0], "non-finite abscissae and values"),
+    ([], [], "at least 3 distinct abscissae, got 0"),
+], ids=["length-first", "non-finite-before-count", "few-and-non-finite", "both", "empty"])
+def test_fit_checks_length_then_finiteness_then_count(x, u, expected):
+    with pytest.raises(FitError) as raised:
+        fit_parabola(np.array(x), np.array(u))
+    assert str(raised.value).endswith(expected)
+
+
+_ABSCISSAE = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+        st.floats(-1e3, 1e3, allow_subnormal=True),
+    ),
+    max_size=64,
+)
+
+
+@given(_ABSCISSAE)
+def test_fit_counts_distinct_abscissae_as_np_unique(x):
+    # Repeats, both zeros, unsorted order and subnormals: the refusal
+    # fires exactly when np.unique finds fewer than three values, and
+    # carries its count.
+    x = np.array(x, dtype=np.float64)
+    expected = np.unique(x).size
+    try:
+        fit_parabola(x, 1.0 + x * x)
+    except FitError as error:
+        message = str(error)
+    else:
+        message = ""
+    refusal = f"parabola fit needs at least 3 distinct abscissae, got {expected}"
+    assert (message == refusal) == (expected < 3), message
+
+
 def test_fit_rejects_linear_data():
     x = np.linspace(0.0, 4.0, 9)
     with pytest.raises(FitError, match="no curvature"):
