@@ -201,17 +201,18 @@ class D2Q9Experiment:
     ``driving`` selects how momentum is injected: a split-half body
     force, a population-form body force (both with periodic ends), or a
     pressure offset imposed at the end columns.  The channel is
-    symmetric about its mid-line, so ``run_to_steady`` marches its lower
-    ``(ny + 1) // 2`` rows.  A force-driven flow also depends on y alone,
-    so it is marched as one column of those rows and ``nx`` does not
-    change its result.  A pressure-driven one is antisymmetric about its
-    mid-column, so it is marched on the west ``(nx + 1) // 2`` columns of
-    those rows.  Construction refuses, listing every violation at once:
-    a ``driving`` not in ``DRIVING_TAGS``, an ``nx`` or ``ny`` that is
-    not a whole number (a whole float is stored as an int) or is < 5, a
-    float that is not finite, ``sigma5`` or ``sigma8`` <= 0, ``s_bulk``
-    outside (0, 2), and, under pressure driving, a squared sound speed
-    (4 + alpha)/6 <= 0 or a singular predictor, alpha + 2 beta - 4 = 0.
+    symmetric about its mid-line, so ``run_to_steady`` marches, and
+    returns, only its lower ``(ny + 1) // 2`` rows.  A force-driven flow
+    also depends on y alone, so its state is one column of those rows and
+    ``nx`` does not change its result.  A pressure-driven one is
+    antisymmetric about its mid-column, so its state is the west
+    ``(nx + 1) // 2`` columns of those rows.  Construction refuses,
+    listing every violation at once: a ``driving`` not in
+    ``DRIVING_TAGS``, an ``nx`` or ``ny`` that is not a whole number (a
+    whole float is stored as an int) or is < 5, a float that is not
+    finite, ``sigma5`` or ``sigma8`` <= 0, ``s_bulk`` outside (0, 2),
+    and, under pressure driving, a squared sound speed (4 + alpha)/6 <= 0
+    or a singular predictor, alpha + 2 beta - 4 = 0.
     """
 
     driving: str = "force-split-half"
@@ -336,16 +337,15 @@ def _march(run_chunk, f, criterion):
 
 
 def _scheme(exp):
-    """What ``run_to_steady`` marches: the full shape, the marched shape,
-    the kernel's run and map functions, and their arguments after the field
-    and the step count, positional and keyword."""
+    """What ``run_to_steady`` marches: the marched shape, the kernel's run
+    and map functions, and their arguments after the field and the step
+    count, positional and keyword."""
     if isinstance(exp, D1Q3Experiment):
-        shape = (3, exp.n)
         args = (
             boundaries.diffusion_closures(), relaxation_d1q3(exp.sigma1, exp.sigma2),
             exp.variant, exp.zeta, exp.source,
         )
-        return shape, shape, kernels.d1q3_run, kernels.d1q3_map, args, {}
+        return (3, exp.n), kernels.d1q3_run, kernels.d1q3_map, args, {}
     if isinstance(exp, D2Q9Experiment):
         closures, driving = _channel(exp)
         width = exp.nx if driving is None else 1  # one column stands for all
@@ -353,102 +353,39 @@ def _scheme(exp):
             closures, relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk),
             exp.alpha, exp.beta, driving, exp.fx,
         )
-        part_shape = (9, (exp.ny + 1) // 2, (width + 1) // 2)
-        return (
-            (9, exp.ny, exp.nx), part_shape, kernels.d2q9_run, kernels.d2q9_map,
-            args, dict(ny=exp.ny, nx=width),
-        )
+        shape = (9, (exp.ny + 1) // 2, (width + 1) // 2)
+        return shape, kernels.d2q9_run, kernels.d2q9_map, args, dict(ny=exp.ny, nx=width)
     raise TypeError(f"unsupported experiment type {type(exp).__name__}")
 
 
-def run_to_steady(exp, init=None, *, marched=False):
-    """March an experiment to steady state from rest (or a warm start).
+def run_to_steady(exp, init=None):
+    """March an experiment to steady state from rest, or from ``init``.
 
-    A channel lies between two equal walls and is driven uniformly
-    across, so a start symmetric about the mid-line stays symmetric: only
-    its lower ``h = (ny + 1) // 2`` rows are marched (``kernels.d2q9_run``
-    with ``ny``), and the upper rows are their mirror image.  A force
-    channel is also periodic along x and driven uniformly along it, so a
-    start uniform along x stays uniform bitwise: every node runs the same
-    operator column and the stream moves identical values onto identical
-    values.  A pressure channel's scheme is linear and its end offsets
-    opposite, so a start antisymmetric about the mid-column stays so.  A
-    pressure channel therefore marches ``(9, h, (nx + 1) // 2)``, a force
-    channel one ``(9, h, 1)`` column, and ``nx`` does not change a force
-    channel's result.  Either is returned rebuilt (``kernels.unfold``),
-    and broadcast along x, to ``(9, ny, nx)``, unless ``marched`` is set.
-    Lines march their whole grid.
-
-    Parameters
-    ----------
-    exp : D1Q3Experiment or D2Q9Experiment
-    init : array, optional
-        Starting populations; zeros when omitted.  On a channel it must
-        be mirror-symmetric about the mid-line, bitwise, since its upper
-        half is not marched, and on a pressure channel antisymmetric about
-        the mid-column, bitwise, since its east half is not; the linear
-        interpolation of settled states is.  On a force channel every
-        column must be the same too: the periodic channel keeps
-        x-dependent invariants of its start that the steady-state check
-        cannot see, so a start whose columns differ is refused, not
-        reduced to its x-mean.
-    marched : bool, keyword-only
-        When set, ``init`` and the returned f are in the marched shape:
-        ``(3, n)`` on a line, ``(9, h, 1)`` on a force channel and
-        ``(9, h, (nx + 1) // 2)`` on a pressure channel.  Nothing is
-        unfolded or broadcast, and ``init`` is not checked for symmetry,
-        since a marched field has no redundant part.
-
-    Returns
-    -------
-    (f, steps) : settled populations, a fresh array of the full shape
-        (the marched shape with ``marched``), and the number of kernel
-        steps marched.  The windows are Anderson-accelerated
-        (``_march``); f is the end of the last window, the one whose
-        relative change per step fell below the criterion's tolerance.
-
-    Raises
-    ------
-    ValueError
-        When ``init`` has another shape, or, without ``marched``, is not
-        mirror-symmetric on a channel, its columns differ on a force
-        channel, or it is not antisymmetric on a pressure channel.
-    ConvergenceError
-        When the criterion's step budget runs out first, or as soon as
-        the relative change of a check is not finite (the march diverged).
+    ``init`` and the returned field are in the marched shape: a line's
+    whole ``(3, n)`` grid, or a channel's lower ``h = (ny + 1) // 2`` rows
+    (see ``D2Q9Experiment``), one ``(9, h, 1)`` column of them on a force
+    channel and the west ``(9, h, (nx + 1) // 2)`` columns on a pressure
+    channel.  ``kernels.unfold`` rebuilds the full grid, and
+    ``velocity_profile`` one column of it.  Returns ``(f, steps)``: the
+    settled field, a fresh array, and the kernel steps marched.  The
+    windows are Anderson-accelerated (``_march``); f is the end of the
+    last one, whose relative change per step fell below the criterion's
+    tolerance.  Raises ValueError when ``init`` has another shape, and
+    ConvergenceError when the step budget runs out first or as soon as
+    the relative change of a check is not finite (the march diverged).
     """
-    shape, part_shape, run, _, args, kw = _scheme(exp)
+    shape, run, _, args, kw = _scheme(exp)
 
     def run_chunk(f, chunk):
         return run(f, chunk, *args, **kw)
 
-    if marched:
-        shape = part_shape  # nothing to check for symmetry or to rebuild
     if init is None:
-        f = np.zeros(part_shape)
+        f = np.zeros(shape)
     else:
         f = np.asarray(init, dtype=np.float64)
         if f.shape != shape:
             raise ValueError(f"init shape {f.shape} does not match {shape}")
-        part = f[tuple(slice(n) for n in part_shape)]
-        if part_shape != shape and np.any(f != kernels.unfold(part, **kw)):
-            across = (
-                "antisymmetric about the mid-column" if exp.driving == "pressure" else
-                "the same in every column: the periodic channel keeps the "
-                "x-dependence of its start, which the steady-state check does not see"
-            )
-            raise ValueError(
-                f"init of a {exp.driving} channel must be mirror-symmetric about the "
-                f"mid-line and {across}: only {part_shape[1]} rows of {part_shape[2]} "
-                "columns are marched"
-            )
-        f = part.copy()
-    f, steps = _march(run_chunk, f, exp.criterion)
-    if marched:
-        return f, steps
-    if part_shape != shape:
-        f = kernels.unfold(f, **kw)
-    return np.broadcast_to(f, shape).copy(), steps
+    return _march(run_chunk, f, exp.criterion)
 
 
 def density_profile(exp, f):
@@ -461,13 +398,18 @@ def density_profile(exp, f):
 def velocity_profile(exp, f, column=None):
     """Observable streamwise momentum across the channel at one column.
 
-    Defaults to the mid-channel column.  Split-half and population-form
-    force runs observe the mid-collision momentum (stored plus half the
-    force); pressure-driven runs observe the stored momentum.
+    ``f`` is a marched field (``run_to_steady``), of which only the column
+    read is unfolded.  ``column`` defaults to nx // 2 and counts from the
+    east end when negative, as an index does; IndexError outside
+    -nx..nx-1.  Force runs observe the mid-collision momentum (stored plus
+    half the force), pressure-driven runs the stored momentum.
     """
+    kw = _scheme(exp)[-1]
     if column is None:
         column = exp.nx // 2
-    g = f[:, :, column]
+    if not -exp.nx <= column < exp.nx:
+        raise IndexError(f"column {column} is outside a channel {exp.nx} wide")
+    g = kernels.unfold(f, **kw, column=column % kw["nx"])[:, :, 0]
     profile = (g[1] + g[5] + g[8]) - (g[3] + g[6] + g[7])
     if exp.driving in ("force-split-half", "force-population"):
         profile += 0.5 * exp.fx
@@ -479,8 +421,8 @@ def wall_offset(exp, f, side="lower", column=None):
     """Wall offset of a settled run, from a parabola fit of the profile.
 
     The fit uses every node of the line (1-D) or the full transverse
-    profile at one column (2-D, mid-channel by default); the wall node
-    is the profile's first (lower) or last (upper) abscissa.
+    profile at one column of a marched field (2-D, mid-channel by default);
+    the wall node is the profile's first (lower) or last (upper) abscissa.
     """
     if isinstance(exp, D1Q3Experiment):
         x, vals = density_profile(exp, f)
@@ -506,25 +448,11 @@ def _sample(exp, product, init=None):
 
     Returns the settled populations and the sample row (sigma_a,
     sigma_b, product, delta_q).  The row keeps the requested product,
-    which the two factors may miss in the last ulp.  ``init`` and the
-    returned populations are in the marched shape (``run_to_steady``
-    with ``marched``).
+    which the two factors may miss in the last ulp.
     """
-    f, _ = run_to_steady(exp, init=init, marched=True)
+    f, _ = run_to_steady(exp, init=init)
     sigmas = (getattr(exp, name) for name in exp.factors)
-    return f, (*sigmas, product, _offset(exp, f))
-
-
-def _offset(exp, f):
-    """delta_q of a state in the marched shape.  Of a channel's grid only
-    the full-height column the fit reads is unfolded: a pressure channel's
-    mid-column, or a force channel's one column, which stands for every
-    column."""
-    if isinstance(exp, D1Q3Experiment):
-        return wall_offset(exp, f).delta_q
-    width = exp.nx if exp.driving == "pressure" else 1
-    g = kernels.unfold(f, ny=exp.ny, nx=width, column=width // 2)
-    return wall_offset(exp, g, column=0).delta_q
+    return f, (*sigmas, product, wall_offset(exp, f).delta_q)
 
 
 def _steady_state(exp):
@@ -540,11 +468,11 @@ def _steady_state(exp):
     others, gives way to the invariant a march from rest keeps: the
     unfolded column's mass is zero.  The mid-row of an odd channel holds
     values the kernel reads from their mirror images instead; they are
-    set to those, as in the marched part of a full-shape state.
+    set to those, as in the lower rows of the unfolded grid.
     """
     if exp.tag == "pressure":
         return None
-    _, shape, _, step_map, args, kw = _scheme(exp)
+    shape, _, step_map, args, kw = _scheme(exp)
     size = math.prod(shape)
     if size > DIRECT_UNKNOWNS:
         return None
@@ -608,11 +536,20 @@ def sweep_product(exp, products, split_check=True):
     the first from rest.  The steady state is unique, so a start only
     saves steps.  With ``split_check`` the median product is re-run with
     its two sigma factors swapped, so the returned samples carry at least
-    two distinct factorizations of one product.
+    two distinct factorizations of one product.  An empty list, or one
+    with a product that is not finite and > 0, is refused before any
+    march, with ConfigurationError listing every bad product.
     """
-    products = sorted(float(p) for p in products)
+    products = [float(p) for p in products]
     if not products:
         raise ConfigurationError("sweep needs at least one product")
+    problems = [
+        f"product must be finite and > 0, got {p}"
+        for p in products if not 0.0 < p < math.inf
+    ]
+    if problems:
+        raise ConfigurationError("invalid sweep", problems)
+    products.sort()
     samples = []
     warm = {}
     for p in products:

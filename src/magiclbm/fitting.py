@@ -94,9 +94,10 @@ def fit_parabola(x, u):
     ------
     FitError
         For a NaN or infinite sample, for fewer than three distinct
-        abscissae, or when the fitted curvature is below the degeneracy
-        floor relative to the data scale (including identically-zero
-        data), in which case no root could be trusted.
+        abscissae, for abscissae whose span overflows, or when the fitted
+        curvature is below the degeneracy floor relative to the data scale
+        (including identically-zero data), in which case no root could be
+        trusted.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     u = np.asarray(u, dtype=np.float64).ravel()
@@ -129,6 +130,8 @@ def fit_parabola(x, u):
     # order as on numpy scalars, without their per-operation overhead.
     center = float(x.sum()) / n
     span = hi - lo
+    if math.isinf(span):
+        raise FitError(f"parabola fit's abscissa span overflows: {lo} to {hi}")
     z = (x - center) / span
     vand = np.empty((n, 3))
     vand[:, 0] = 1.0

@@ -205,10 +205,13 @@ def _sources(q, stream_map, *key):
 def unfold(f, ny=None, nx=None, *, column=None):
     """The full ``(9, ny, nx)`` grid, a fresh array, of a field that
     ``d2q9_run`` marches with these ``ny`` and ``nx``; with ``column`` (0
-    to nx - 1), only that column of it, a fresh ``(9, ny, 1)`` array."""
+    to nx - 1, else ValueError), only that column of it, a fresh
+    ``(9, ny, 1)`` array."""
     full = (D2Q9.q, ny or f.shape[1], nx or f.shape[2])
     fold, negated = _fold(f.shape, *full[1:])
     if column is not None:
+        if not 0 <= column < full[2]:
+            raise ValueError(f"column {column} is outside a grid {full[2]} wide")
         pick = np.s_[:, :, column : column + 1]
         fold, negated = fold.reshape(full)[pick], negated.reshape(full)[pick]
         full = fold.shape

@@ -8,6 +8,7 @@ matplotlib, and that the emitted plot scripts draw their CSV.
 """
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -499,6 +500,22 @@ _SMALL_RUNS = (
 )
 
 
+# sha256 of each file _SMALL_RUNS writes: a change to the program that
+# moves one output bit, in any command, fails here.
+_SMALL_RUN_DIGESTS = {
+    "diffusivity.csv": "454ae147ac74e47fbdb92c069e580d40645dca1fac1b7b477a8d3a070bf5dec4",
+    "magic-root.csv": "0f7ad51b4b3d956f8b7681d633c3df32d82ae7f48bfe94e331895b8983cc14f2",
+    "magic-root.plot": "5adb71bd3ca988d8caf4750255abdb8f4e005ee93b41338edbd0fc5f2821d62c",
+    "poiseuille-force-pop.csv": "deadc04826e2d868b79f8b83648dcdec2ffc7a5bd246cc026a6f98052645632a",
+    "poiseuille-force.csv": "8819d8f4f7c4cf2944dd05d889737c6c7cc06440190933e7f9b3d2f546618e9c",
+    "poiseuille-pressure.csv": "47c22566602d9e062f8fd2a7d19520fa054de446f2e877ea991a13ad1273ac20",
+    "poisson-1d.csv": "f27726296e8dcb47d3ca55b81d1b02085612228c344e2603e56192e0c7823a96",
+    "sweep.csv": "2fbb0b79cf17b1e7841d92f2e70873df06fdf41c73384fcb6763de1f0b4e8ecb",
+    "sweep.plot": "248f3653fb4bf20a5c342b737c20cfe796235431c25762e5b8f2f019640db49f",
+    "viscosity.csv": "8af4b904ef97dc436689083c199c79bd0dd7001b0bf5c800e572710de16a825d",
+}
+
+
 def test_every_command_writes_byte_identical_files_twice(tmp_path):
     config = tmp_path / "line.ini"
     config.write_text(_LINE_SAMPLES)
@@ -512,6 +529,8 @@ def test_every_command_writes_byte_identical_files_twice(tmp_path):
     first, second = written
     assert len(first) == len(_SMALL_RUNS) + 2  # a .plot for sweep and magic-root
     assert first == second
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in first.items()}
+    assert digests == _SMALL_RUN_DIGESTS
 
 
 # ---------------------------------------------------------------------------

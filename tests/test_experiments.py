@@ -49,6 +49,7 @@ from magiclbm.experiments import (
     wall_offset,
 )
 from magiclbm.experiments import _decay_rate
+from magiclbm.fitting import fit_parabola, wall_location
 from magiclbm.lattice import D2Q9, build_d1q3_basis, build_d2q9_basis, from_moments
 
 # The D2Q9 population with vy (MIRROR) or vx (XM) negated: a channel's
@@ -63,6 +64,36 @@ MIRROR, XM = (
 # Small-grid stand-ins for the production channels.
 LINE = dict(n=16)
 CHANNEL = dict(nx=6, ny=11)
+
+
+def full_grid(exp, f):
+    """The full ``(9, ny, nx)`` grid of a channel's marched field f (a
+    line's field is its whole grid)."""
+    if isinstance(exp, D1Q3Experiment):
+        return f
+    if exp.driving == "pressure":
+        return kernels.unfold(f, ny=exp.ny, nx=exp.nx)
+    return np.broadcast_to(kernels.unfold(f, ny=exp.ny), (9, exp.ny, exp.nx))
+
+
+def full_grid_profile(exp, grid, column):
+    """The observed momentum at one column of a channel's full grid, by
+    its formula."""
+    g = grid[:, :, column]
+    jx = (g[1] + g[5] + g[8]) - (g[3] + g[6] + g[7])
+    if exp.driving != "pressure":
+        jx += 0.5 * exp.fx
+    return jx
+
+
+def grid_offset(exp, grid, side="lower"):
+    """delta_q of a full grid, read as ``wall_offset`` read it before a
+    steady state kept its marched shape: a channel's off its mid column."""
+    if isinstance(exp, D1Q3Experiment):
+        return wall_offset(exp, grid, side).delta_q
+    y = np.arange(exp.ny, dtype=np.float64)
+    fit = fit_parabola(y, full_grid_profile(exp, grid, exp.nx // 2))
+    return wall_location(fit, float(y[0] if side == "lower" else y[-1]), 1.0, side).delta_q
 
 
 def line_offset(variant, sigma1, sigma2, side="lower"):
@@ -217,14 +248,23 @@ def test_channel_profile_matches_poiseuille_solution():
     D2Q9Experiment(driving="pressure", nx=40, ny=9),
 ], ids=["split-half-100x7", "population-6x11", "pressure-40x9"])
 def test_velocity_profile_reads_its_column_as_the_full_grid_formula(exp, column):
-    f = np.random.default_rng(7).normal(size=(9, exp.ny, exp.nx))
-    jx = (f[1] + f[5] + f[8]) - (f[3] + f[6] + f[7])
-    want = jx[:, exp.nx // 2 if column is None else column].copy()
-    if exp.driving != "pressure":
-        want += 0.5 * exp.fx
+    f = np.random.default_rng(7).normal(size=experiments._scheme(exp)[0])
+    want = full_grid_profile(exp, full_grid(exp, f), exp.nx // 2 if column is None else column)
     y, got = velocity_profile(exp, f, column=column)
     assert got.tobytes() == want.tobytes()
     assert y.tobytes() == np.arange(exp.ny, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("driving", ["force-split-half", "pressure"])
+def test_velocity_profile_refuses_a_column_outside_the_channel(driving):
+    # Any column -nx..nx-1 reads as an index into the full grid would.
+    exp = D2Q9Experiment(driving=driving, nx=12, ny=7)
+    f = np.random.default_rng(8).normal(size=experiments._scheme(exp)[0])
+    _, west = velocity_profile(exp, f, column=-12)
+    assert west.tobytes() == velocity_profile(exp, f, column=0)[1].tobytes()
+    for column in (12, -13, 100):
+        with pytest.raises(IndexError, match=f"column {column} is outside a channel 12 wide"):
+            velocity_profile(exp, f, column=column)
 
 
 def test_pressure_offset_is_insensitive_to_drive_amplitude():
@@ -355,10 +395,8 @@ def test_accelerated_march_settles_where_the_plain_one_does(name):
     g, plain_steps = plain_march(exp)
     assert steps % exp.criterion.check_every == 0
     assert steps <= plain_steps
-    assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(g))
-    assert wall_offset(exp, f).delta_q == pytest.approx(
-        wall_offset(exp, g).delta_q, abs=1e-12
-    )
+    assert np.max(np.abs(full_grid(exp, f) - g)) <= 1e-12 * np.max(np.abs(g))
+    assert wall_offset(exp, f).delta_q == pytest.approx(grid_offset(exp, g), abs=1e-12)
 
 
 def anderson_march(run_chunk, f, criterion):
@@ -501,7 +539,7 @@ def test_marches_run_on_the_cells_they_can_differ_on(monkeypatch):
     quick = SteadyStateCriterion(tolerance=1.0, check_every=10, max_steps=10)
     for driving in DRIVING_TAGS:
         exp = D2Q9Experiment(driving=driving, nx=6, ny=5, criterion=quick)
-        f, _ = run_to_steady(exp)
+        f = full_grid(exp, run_to_steady(exp)[0])
         assert f.shape == (9, 5, 6)
         assert np.all(f == f[..., :1]) == (driving != "pressure")
         assert np.any(f != 0.0)
@@ -513,10 +551,11 @@ def test_marches_run_on_the_cells_they_can_differ_on(monkeypatch):
     assert shapes == [(9, 3, 1), (9, 3, 1), (9, 3, 3), (9, 1, 8), (9, 1, 8)]
 
 
-def full_grid_march(exp):
+def full_grid_march(exp, init=None):
     """``run_to_steady`` without its reductions: every node of the channel
-    marched from rest through the same accelerated window loop.  Only
-    Anderson's least squares over the longer residual rounds differently."""
+    marched from rest, or from the full grid ``init``, through the same
+    accelerated window loop.  Only Anderson's least squares over the longer
+    residual rounds differently."""
     closures, driving = experiments._channel(exp)
     settings = relaxation_d2q9(exp.sigma5, exp.sigma8, exp.s_bulk)
 
@@ -525,75 +564,36 @@ def full_grid_march(exp):
             f, chunk, closures, settings, exp.alpha, exp.beta, driving, exp.fx
         )
 
-    return experiments._march(run_chunk, np.zeros((9, exp.ny, exp.nx)), exp.criterion)
+    f = np.zeros((9, exp.ny, exp.nx)) if init is None else init
+    return experiments._march(run_chunk, f, exp.criterion)
 
 
 @pytest.mark.parametrize("driving", ["force-split-half", "force-population"])
 def test_force_column_settles_as_the_full_grid_does(driving):
     exp = D2Q9Experiment(driving=driving, nx=100, ny=21)
     g, grid_steps = full_grid_march(exp)
-    f, steps = run_to_steady(exp)
+    part, steps = run_to_steady(exp)
+    f = full_grid(exp, part)
     assert f.shape == g.shape
     assert np.all(f == f[..., :1])
     assert steps == grid_steps
-    assert wall_offset(exp, f).delta_q == pytest.approx(
-        wall_offset(exp, g).delta_q, abs=1e-14
-    )
+    assert wall_offset(exp, part).delta_q == pytest.approx(grid_offset(exp, g), abs=1e-14)
 
 
 @pytest.mark.parametrize("nx, ny", [(40, 9), (40, 8), (100, 21)], ids=str)
 def test_pressure_half_settles_as_the_full_grid_does(nx, ny):
     exp = D2Q9Experiment(driving="pressure", nx=nx, ny=ny)
     g, grid_steps = full_grid_march(exp)
-    f, steps = run_to_steady(exp)
+    part, steps = run_to_steady(exp)
+    f = full_grid(exp, part)
     assert f.shape == g.shape
     assert np.array_equal(f, f[MIRROR, ::-1])
     assert np.array_equal(f, -f[XM, :, ::-1])
     assert steps == grid_steps
     for side in ("lower", "upper"):
-        assert wall_offset(exp, f, side).delta_q == pytest.approx(
-            wall_offset(exp, g, side).delta_q, abs=1e-14
+        assert wall_offset(exp, part, side).delta_q == pytest.approx(
+            grid_offset(exp, g, side), abs=1e-14
         )
-
-
-@pytest.mark.parametrize("driving", DRIVING_TAGS)
-@pytest.mark.parametrize("ny", [7, 8])
-def test_channel_refuses_a_start_that_is_not_mirror_symmetric(driving, ny):
-    # Only the lower half is marched, so the upper half of such a start
-    # would be dropped without a word; it is refused instead.  The mean of
-    # the start and its mirror image is accepted.  A pressure channel's start
-    # is made antisymmetric about the mid-column first, as it must be.
-    exp = D2Q9Experiment(driving=driving, nx=6, ny=ny)
-    noise = 1e-5 * np.random.default_rng(2).normal(size=(9, ny, 1))
-    noise = np.broadcast_to(noise, (9, ny, 6))
-    if driving == "pressure":
-        noise = 0.5 * (noise - noise[XM, :, ::-1])
-    with pytest.raises(ValueError, match="mirror-symmetric"):
-        run_to_steady(exp, init=noise)
-    run_to_steady(exp, init=0.5 * (noise + noise[MIRROR, ::-1]))
-
-
-@pytest.mark.parametrize("nx", [6, 7])
-def test_pressure_channel_refuses_a_start_that_is_not_antisymmetric(nx):
-    # Only the west half is marched, so the east half of such a start would
-    # be dropped without a word; it is refused instead.  The start's
-    # antisymmetric part is accepted, and so is the state it settles to.
-    exp = D2Q9Experiment(driving="pressure", nx=nx, ny=7)
-    noise = 1e-5 * np.random.default_rng(3).normal(size=(9, 7, nx))
-    noise = 0.5 * (noise + noise[MIRROR, ::-1])
-    with pytest.raises(ValueError, match="antisymmetric"):
-        run_to_steady(exp, init=noise)
-    f, _ = run_to_steady(exp, init=0.5 * (noise - noise[XM, :, ::-1]))
-    assert run_to_steady(exp, init=f)[1] == exp.criterion.check_every
-
-
-def test_force_channel_refuses_a_start_whose_columns_differ():
-    # The periodic channel keeps the x-dependence of such a start, which
-    # the window check does not see, so it is refused rather than averaged.
-    exp = D2Q9Experiment(driving="force-split-half", nx=8, ny=7)
-    noise = 1e-5 * np.random.default_rng(1).normal(size=(9, 7, 8))
-    with pytest.raises(ValueError, match="same in every column"):
-        run_to_steady(exp, init=noise)
 
 
 # A line, both force drivings (odd and even height) and pressure channels
@@ -605,15 +605,14 @@ MARCHED_CASES = {
     "pressure": D2Q9Experiment(driving="pressure", nx=12, ny=7),
     "pressure-odd-nx": D2Q9Experiment(driving="pressure", nx=13, ny=8),
 }
+CHANNEL_CASES = sorted(name for name in MARCHED_CASES if name != "line")
 
 
 def symmetric_start(exp, seed):
-    """A full-shape start run_to_steady accepts, built without ``kernels``:
-    noise made mirror-symmetric about the mid-line, and antisymmetric about
-    the mid-column on a pressure channel or one column repeated on a force
-    channel."""
-    if isinstance(exp, D1Q3Experiment):
-        return 1e-6 * np.random.default_rng(seed).normal(size=(3, exp.n))
+    """A full-grid channel start that a marched field stands for, built
+    without ``kernels``: noise made mirror-symmetric about the mid-line,
+    and antisymmetric about the mid-column on a pressure channel or one
+    column repeated on a force channel."""
     force = exp.driving != "pressure"
     rng = np.random.default_rng(seed)
     noise = 1e-6 * rng.normal(size=(9, exp.ny, 1 if force else exp.nx))
@@ -624,11 +623,9 @@ def symmetric_start(exp, seed):
 
 
 def marched_part(exp):
-    """Index of the part of a full-shape field that run_to_steady marches:
-    the line, a force channel's lower rows of one column, or a pressure
-    channel's lower rows of its west columns."""
-    if isinstance(exp, D1Q3Experiment):
-        return np.s_[:, :]
+    """Index of the part of a full channel grid that run_to_steady marches:
+    a force channel's lower rows of one column, or a pressure channel's
+    lower rows of its west columns."""
     width = exp.nx if exp.driving == "pressure" else 1
     return np.s_[:, : (exp.ny + 1) // 2, : (width + 1) // 2]
 
@@ -636,70 +633,88 @@ def marched_part(exp):
 def assert_symmetric(exp, f):
     """f is what a channel's marched part stands for: mirror-symmetric, and
     antisymmetric about the mid-column or the same in every column."""
-    if isinstance(exp, D2Q9Experiment):
-        assert np.array_equal(f, f[MIRROR, ::-1])
-        if exp.driving == "pressure":
-            # An odd grid's mid-column is its own image; its populations
-            # that stay on it are marched, not rebuilt, so they are left out.
-            west = np.s_[..., : exp.nx // 2]
-            assert np.array_equal(f[west], -f[XM, :, ::-1][west])
-        else:
-            assert np.all(f == f[..., :1])
+    assert np.array_equal(f, f[MIRROR, ::-1])
+    if exp.driving == "pressure":
+        # An odd grid's mid-column is its own image; its populations
+        # that stay on it are marched, not rebuilt, so they are left out.
+        west = np.s_[..., : exp.nx // 2]
+        assert np.array_equal(f[west], -f[XM, :, ::-1][west])
+    else:
+        assert np.all(f == f[..., :1])
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["rest", "warm"])
-@pytest.mark.parametrize("name", sorted(MARCHED_CASES))
-def test_marched_run_is_the_marched_part_of_the_full_run_bitwise(name, warm):
+@pytest.mark.parametrize("name", CHANNEL_CASES)
+def test_marched_run_settles_as_the_full_grid_does(name, warm):
+    # From rest or from the marched part of a symmetric full-grid start.
     exp = MARCHED_CASES[name]
     start = symmetric_start(exp, seed=5) if warm else None
-    full, full_steps = run_to_steady(exp, init=start)
-    init = None if start is None else start[marched_part(exp)]
-    f, steps = run_to_steady(exp, init=init, marched=True)
-    part = full[marched_part(exp)]
-    assert f.shape == part.shape
-    assert steps == full_steps
-    assert np.array_equal(f, part)
+    g, grid_steps = full_grid_march(exp, init=start)
+    f, steps = run_to_steady(exp, init=None if start is None else start[marched_part(exp)])
+    full = full_grid(exp, f)
+    assert steps == grid_steps
+    assert np.max(np.abs(full - g)) <= 1e-12 * np.max(np.abs(g))
     assert_symmetric(exp, full)
 
 
 @pytest.mark.parametrize("name", sorted(MARCHED_CASES))
 def test_marched_run_refuses_a_start_of_another_shape(name):
-    # The full shape where the marched one is wanted, and the other way
-    # round; the line's two shapes are one, so it gets a longer line.
+    # A channel's full grid, or a longer line.
     exp = MARCHED_CASES[name]
-    full = symmetric_start(exp, seed=6)
-    part = full[marched_part(exp)]
-    wrong = np.zeros((3, exp.n + 1)) if isinstance(exp, D1Q3Experiment) else full
+    if isinstance(exp, D1Q3Experiment):
+        wrong, shape = np.zeros((3, exp.n + 1)), (3, exp.n)
+    else:
+        wrong = symmetric_start(exp, seed=6)
+        shape = wrong[marched_part(exp)].shape
     with pytest.raises(ValueError) as excinfo:
-        run_to_steady(exp, init=wrong, marched=True)
-    assert str(excinfo.value) == f"init shape {wrong.shape} does not match {part.shape}"
-    if isinstance(exp, D2Q9Experiment):
-        with pytest.raises(ValueError) as excinfo:
-            run_to_steady(exp, init=part)
-        assert str(excinfo.value) == f"init shape {part.shape} does not match {full.shape}"
+        run_to_steady(exp, init=wrong)
+    assert str(excinfo.value) == f"init shape {wrong.shape} does not match {shape}"
 
 
-def full_shape_sample(exp, product, init=None):
-    """``experiments._sample`` as it was before it kept marched shapes: full
-    states in and out of run_to_steady, the offset read from the full grid.
-    A force channel's direct start comes in the marched shape, one column
-    of the lower rows, and is unfolded to the full grid first."""
-    if isinstance(exp, D2Q9Experiment) and init is not None and init.shape[2] == 1:
-        init = np.repeat(kernels.unfold(init, ny=exp.ny), exp.nx, axis=2)
-    f, _ = run_to_steady(exp, init=init)
-    sigmas = (getattr(exp, name) for name in exp.factors)
-    return f, (*sigmas, product, wall_offset(exp, f).delta_q)
+def assert_refuses_full_grid_start(exp, start):
+    """run_to_steady refuses the full grid ``start`` by its shape, before
+    any march, so no part of it is dropped without a word."""
+    with pytest.raises(ValueError) as excinfo:
+        run_to_steady(exp, init=start)
+    part = start[marched_part(exp)].shape
+    assert str(excinfo.value) == f"init shape {start.shape} does not match {part}"
 
 
-@pytest.mark.parametrize("name", sorted(MARCHED_CASES))
-def test_searches_on_marched_states_sample_as_on_full_ones(name, monkeypatch):
-    exp = MARCHED_CASES[name]
-    magic = experiments.predicted_product(exp)
-    products = [0.7 * magic, magic, 1.4 * magic]
-    searched = repr((find_magic_root(exp), sweep_product(exp, products)))
-    monkeypatch.setattr(experiments, "_sample", full_shape_sample)
-    # repr prints every float exactly, the root and every sample row
-    assert searched == repr((find_magic_root(exp), sweep_product(exp, products)))
+@pytest.mark.parametrize("driving", DRIVING_TAGS)
+@pytest.mark.parametrize("ny", [7, 8])
+def test_channel_refuses_a_start_that_is_not_mirror_symmetric(driving, ny):
+    # Only the lower half is marched, so the upper half of such a start
+    # would be dropped; the full grid is refused instead.  The marched part
+    # of the start's mirror mean is accepted.  A pressure channel's start is
+    # made antisymmetric about the mid-column first, as it must be.
+    exp = D2Q9Experiment(driving=driving, nx=6, ny=ny)
+    noise = 1e-5 * np.random.default_rng(2).normal(size=(9, ny, 1))
+    noise = np.broadcast_to(noise, (9, ny, 6))
+    if driving == "pressure":
+        noise = 0.5 * (noise - noise[XM, :, ::-1])
+    assert_refuses_full_grid_start(exp, noise)
+    run_to_steady(exp, init=(0.5 * (noise + noise[MIRROR, ::-1]))[marched_part(exp)])
+
+
+@pytest.mark.parametrize("nx", [6, 7])
+def test_pressure_channel_refuses_a_start_that_is_not_antisymmetric(nx):
+    # Only the west half is marched, so the east half of such a start would
+    # be dropped; the full grid is refused instead.  The marched part of the
+    # start's antisymmetric part is accepted, and so is the state it settles to.
+    exp = D2Q9Experiment(driving="pressure", nx=nx, ny=7)
+    noise = 1e-5 * np.random.default_rng(3).normal(size=(9, 7, nx))
+    noise = 0.5 * (noise + noise[MIRROR, ::-1])
+    assert_refuses_full_grid_start(exp, noise)
+    f, _ = run_to_steady(exp, init=(0.5 * (noise - noise[XM, :, ::-1]))[marched_part(exp)])
+    assert run_to_steady(exp, init=f)[1] == exp.criterion.check_every
+
+
+def test_force_channel_refuses_a_start_whose_columns_differ():
+    # The periodic channel would keep the x-dependence of such a start,
+    # which the window check does not see; it is refused, not averaged.
+    exp = D2Q9Experiment(driving="force-split-half", nx=8, ny=7)
+    noise = 1e-5 * np.random.default_rng(1).normal(size=(9, 7, 8))
+    assert_refuses_full_grid_start(exp, noise)
 
 
 # Every column a wall-offset read unfolds: pressure channels of both width
@@ -716,22 +731,18 @@ OFFSET_CASES = {
 
 @pytest.mark.parametrize("name", sorted(OFFSET_CASES))
 def test_offset_of_the_marched_state_is_the_full_grids_offset_bitwise(name):
-    # _offset unfolds only the column the fit reads; wall_offset reads it
-    # from the full grid run_to_steady rebuilds.
+    # wall_offset unfolds only the column the fit reads; grid_offset reads
+    # it from the full grid.
     exp = experiments._with_product(OFFSET_CASES[name], 0.3)
-    f, _ = run_to_steady(exp, marched=True)
-    full, _ = run_to_steady(exp)
-    assert repr(experiments._offset(exp, f)) == repr(wall_offset(exp, full).delta_q)
+    f, _ = run_to_steady(exp)
+    assert repr(wall_offset(exp, f).delta_q) == repr(grid_offset(exp, full_grid(exp, f)))
 
 
-def full_grid_offset(exp, f):
-    """``experiments._offset`` as it was before it unfolded one column: a
-    pressure channel's marched state unfolded to the full grid."""
-    column = None
-    if isinstance(exp, D2Q9Experiment):
-        width = exp.nx if exp.driving == "pressure" else 1
-        f, column = kernels.unfold(f, ny=exp.ny, nx=width), width // 2
-    return wall_offset(exp, f, column=column).delta_q
+def full_grid_sample(exp, product, init=None):
+    """``experiments._sample`` with the offset read off the full grid."""
+    f, _ = run_to_steady(exp, init=init)
+    sigmas = (getattr(exp, name) for name in exp.factors)
+    return f, (*sigmas, product, grid_offset(exp, full_grid(exp, f)))
 
 
 @pytest.mark.parametrize("name", sorted(MARCHED_CASES) + ["pressure-41x9"])
@@ -740,7 +751,8 @@ def test_searches_read_offsets_as_the_full_grid_read_did(name, monkeypatch):
     magic = experiments.predicted_product(exp)
     products = [0.7 * magic, magic, 1.4 * magic]
     searched = repr((find_magic_root(exp), sweep_product(exp, products)))
-    monkeypatch.setattr(experiments, "_offset", full_grid_offset)
+    monkeypatch.setattr(experiments, "_sample", full_grid_sample)
+    # repr prints every float exactly, the root and every sample row
     assert searched == repr((find_magic_root(exp), sweep_product(exp, products)))
 
 
@@ -779,11 +791,11 @@ def at_magic(exp):
 def test_direct_state_is_the_march_from_rest(name):
     exp = at_magic(DIRECT_CASES[name])
     g = experiments._steady_state(exp)
-    f, _ = run_to_steady(exp, marched=True)
+    f, _ = run_to_steady(exp)
     assert g.shape == f.shape
-    direct = experiments._offset(exp, g)
+    direct = wall_offset(exp, g).delta_q
     assert abs(direct - 0.5) <= 1e-12
-    assert abs(direct - experiments._offset(exp, f)) <= 1e-12
+    assert abs(direct - wall_offset(exp, f).delta_q) <= 1e-12
     scale = np.max(np.abs(f))
     assert np.max(np.abs(g - f)) <= DIRECT_POPULATION_GAP * scale
     if isinstance(exp, D2Q9Experiment):
@@ -985,6 +997,24 @@ def test_sweep_rejects_empty_product_list():
         sweep_product(exp, [])
 
 
+@pytest.mark.parametrize("exp", [
+    D1Q3Experiment(variant="a", **LINE),
+    D2Q9Experiment(driving="pressure", nx=12, ny=7),
+], ids=["line", "pressure"])
+def test_sweep_refuses_every_bad_product_before_marching(exp, monkeypatch):
+    # Unrefused, a bad product fails inside its march, naming a factor.
+    def no_march(*args, **kw):
+        raise AssertionError("marched before refusing")
+
+    monkeypatch.setattr(experiments, "run_to_steady", no_march)
+    products = [0.125, math.nan, math.inf, 0.0, -0.1, 0.25]
+    with pytest.raises(ConfigurationError, match="invalid sweep") as excinfo:
+        sweep_product(exp, products)
+    assert excinfo.value.violations == [
+        f"product must be finite and > 0, got {p}" for p in ("nan", "inf", "0.0", "-0.1")
+    ]
+
+
 def test_root_find_recovers_line_magic_product():
     exp = D1Q3Experiment(variant="a", sigma1=1.0, sigma2=0.125, **LINE)
     sweep = find_magic_root(exp, bracket=(0.05, 0.3))
@@ -1072,15 +1102,15 @@ def kernel_marches(patch):
 
 @functools.cache
 def logged_root_search(name):
-    """One benchmark search, with every march's experiment, state, steps and
-    keywords, the set of operator shapes its kernel marches used, their
+    """One benchmark search, with every march's experiment, state and
+    steps, the set of operator shapes its kernel marches used, their
     total of node updates (steps times marched nodes) and the steps of each
     kernel march (one per check window)."""
     marches = []
 
-    def logged(exp, init=None, **kwargs):
-        f, steps = run_to_steady(exp, init=init, **kwargs)
-        marches.append((exp, f, steps, kwargs))
+    def logged(exp, init=None):
+        f, steps = run_to_steady(exp, init=init)
+        marches.append((exp, f, steps))
         return f, steps
 
     exp = ROOT_SEARCHES[name]
@@ -1105,7 +1135,7 @@ def test_root_searches_march_few_steps():
     total = sum(
         steps
         for name in ROOT_SEARCHES
-        for _, _, steps, _ in logged_root_search(name)[2]
+        for _, _, steps in logged_root_search(name)[2]
     )
     assert total <= 8000
 
@@ -1173,8 +1203,8 @@ def test_root_searches_multiply_only_the_operator_rows_they_read():
 
 @pytest.mark.parametrize("name", sorted(ROOT_SEARCHES))
 def test_warm_start_from_a_settled_search_state_converges_at_once(name):
-    for exp, f, _, kwargs in logged_root_search(name)[2]:
-        g, steps = run_to_steady(exp, init=f, **kwargs)
+    for exp, f, _ in logged_root_search(name)[2]:
+        g, steps = run_to_steady(exp, init=f)
         assert steps == exp.criterion.check_every
         assert np.max(np.abs(g - f)) <= 1e-12 * np.max(np.abs(f))
 

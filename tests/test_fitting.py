@@ -103,6 +103,20 @@ def test_fit_checks_length_then_finiteness_then_count(x, u, expected):
     assert str(raised.value).endswith(expected)
 
 
+@pytest.mark.parametrize("x", [
+    [-1e308, 0.0, 1e308],
+    [1e308, -1.7976931348623157e308, 0.0, 5.0],
+], ids=["symmetric", "unsorted"])
+def test_fit_refuses_an_abscissa_span_that_overflows(x, capfd):
+    # An infinite span scales every abscissa to 0, and lstsq fits a
+    # constant: "no curvature" would name the wrong cause.
+    with pytest.raises(FitError) as raised:
+        fit_parabola(x, np.arange(len(x)) % 2)
+    lo, hi = min(x), max(x)
+    assert str(raised.value) == f"parabola fit's abscissa span overflows: {lo} to {hi}"
+    assert capfd.readouterr().err == ""
+
+
 _ABSCISSAE = st.lists(
     st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308]),

@@ -900,6 +900,16 @@ def test_one_unfolded_column_is_that_column_of_the_unfolded_grid(ny, nx):
         assert not np.array_equal(mid, f[west, :, -1])
 
 
+@pytest.mark.parametrize("ny, nx, column", [
+    (9, 40, 40), (9, 40, 100), (9, 40, -1), (9, 41, 41), (7, 1, 1), (7, 1, -1),
+])
+def test_an_unfolded_column_outside_the_grid_is_refused(ny, nx, column):
+    # A slice past the grid would give an empty (9, ny, 0) array.
+    f = np.zeros((9, (ny + 1) // 2, (nx + 1) // 2))
+    with pytest.raises(ValueError, match=rf"^column {column} is outside a grid {nx} wide$"):
+        kernels.unfold(f, ny=ny, nx=nx, column=column)
+
+
 def test_a_field_of_neither_height_is_refused():
     args = (force_channel_closures(), relaxation_d2q9(0.3, 1.1), -2.0, 1.0)
     with pytest.raises(ValueError, match="lower 5 rows"):
